@@ -7,7 +7,6 @@ baselines, test-signal generators, and a Monte-Carlo experiment harness
 with a CLI (``pes-denoise``).
 """
 
-from ._kernels import BACKEND, USE_NUMBA
 from .denoise import (
     DenoiseConfig,
     baseline_three_sigma,
@@ -64,7 +63,6 @@ from .transforms import (
     dwt_analysis,
     dwt_synthesis,
     get_filter_bank,
-    load_filter_bank,
     lowpass_filter,
     pyramid_analysis,
     pyramid_synthesis,
@@ -74,7 +72,6 @@ from .transforms import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "BANK_NAMES",
     "BallProjection",
     "BandwidthEstimate",
@@ -89,7 +86,6 @@ __all__ = [
     "ReportRow",
     "SIGNAL_NAMES",
     "SubbandSet",
-    "USE_NUMBA",
     "add_gaussian_noise",
     "baseline_three_sigma",
     "baseline_universal",
@@ -107,7 +103,6 @@ __all__ = [
     "grand_means",
     "l1_ball_max_size",
     "levels_for_bandwidth",
-    "load_filter_bank",
     "lowpass_filter",
     "magnitude_spectrum",
     "noise_sigma",

@@ -2,15 +2,13 @@
 
 Every method in a cell (signal x noise fraction) sees the same noisy
 instances, seeded as base_seed + trial, so method comparisons are
-paired.  Trials run on a thread pool (capped by PES_DENOISE_THREADS) and
-are aggregated in trial order, keeping reports deterministic.
+paired.  Trials run one after another in trial order, so a report is
+deterministic for a given seed.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,13 +63,6 @@ class ExperimentReport:
     errors: tuple[str, ...] = field(default_factory=tuple)
 
 
-def _worker_count() -> int:
-    cap = os.environ.get("PES_DENOISE_THREADS")
-    if cap:
-        return max(1, int(cap))
-    return max(1, os.cpu_count() or 1)
-
-
 def _summarize(values: list[float]) -> tuple[float, float, int]:
     """Mean and population stddev with +inf sentinels excluded."""
     finite = [v for v in values if math.isfinite(v)]
@@ -89,16 +80,13 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     for signal_name in spec.signals:
         clean = generate_test_signal(signal_name, spec.n)
         for fraction in spec.noise_fractions:
-
-            def one_trial(trial: int) -> tuple[float, list[float]]:
-                noisy = add_gaussian_noise(clean, NoiseSpec(fraction, spec.base_seed + trial))
-                input_snr = snr_db(clean, noisy)
-                outputs = [snr_db(clean, denoise(noisy, cfg)) for cfg in spec.methods]
-                return input_snr, outputs
-
+            results: list[tuple[float, list[float]]] = []
             try:
-                with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-                    results = list(pool.map(one_trial, range(spec.trials)))
+                for trial in range(spec.trials):
+                    noisy = add_gaussian_noise(clean, NoiseSpec(fraction, spec.base_seed + trial))
+                    input_snr = snr_db(clean, noisy)
+                    outputs = [snr_db(clean, denoise(noisy, cfg)) for cfg in spec.methods]
+                    results.append((input_snr, outputs))
             except Exception as exc:  # noqa: BLE001 - cell aborts, error is reported
                 errors.append(f"{signal_name}/{fraction:g}: {type(exc).__name__}: {exc}")
                 continue

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-
 _SIGN_TIE_TOL = 1e-12
 
 
@@ -68,8 +66,11 @@ def project_l1_ball(w: np.ndarray, d: float) -> BallProjection:
         # empties the ball is the max magnitude.
         return BallProjection(w_p=np.zeros_like(w), theta=float(np.max(np.abs(w))), d=0.0, rho=0)
     mu = np.sort(np.abs(w))[::-1]
-    rho, theta = _kernels.l1_ball_core(np.ascontiguousarray(mu), float(d))
-    return BallProjection(w_p=soft_threshold(w, theta), theta=float(theta), d=float(d), rho=int(rho))
+    cs = np.cumsum(mu)
+    keep = mu - (cs - d) / np.arange(1, mu.shape[0] + 1) > 0.0
+    rho = int(np.flatnonzero(keep)[-1]) + 1
+    theta = float((cs[rho - 1] - d) / rho)
+    return BallProjection(w_p=soft_threshold(w, theta), theta=theta, d=float(d), rho=rho)
 
 
 def project_epigraph_l1(w: np.ndarray, strict_paper_mode: bool = False) -> EpigraphProjection:

@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
-
 
 @dataclass(frozen=True)
 class FilterBank:
@@ -90,32 +88,6 @@ def get_filter_bank(name: str) -> FilterBank:
         raise ValueError(f"unknown filter bank {name!r}; choose from {', '.join(BANK_NAMES)}") from None
 
 
-def load_filter_bank(path: str, name: str | None = None) -> FilterBank:
-    """Read a bank from a plain-text tap file.
-
-    Format: four sections separated by blank lines, one coefficient per
-    line, in the order analysis-low, analysis-high, synthesis-low,
-    synthesis-high.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    sections: list[list[float]] = [[]]
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            if sections[-1]:
-                sections.append([])
-            continue
-        sections[-1].append(float(line))
-    if sections and not sections[-1]:
-        sections.pop()
-    if len(sections) != 4:
-        raise ValueError(f"tap file {path!r} must contain 4 sections, found {len(sections)}")
-    arrays = [np.array(sec, dtype=float) for sec in sections]
-    bank_name = name if name is not None else path
-    return FilterBank(bank_name, arrays[0], arrays[1], arrays[2], arrays[3])
-
-
 @dataclass(frozen=True)
 class SubbandSet:
     lowband: np.ndarray
@@ -136,30 +108,50 @@ def _check_levels(n: int, levels: int, taps: int) -> None:
         )
 
 
+def _dwt_step(x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """One analysis split: correlate with lo/hi and keep even phases.
+
+    Periodic boundary: indices wrap modulo len(x).
+    """
+    n = x.shape[0]
+    half = n // 2
+    idx = (2 * np.arange(half)[:, None] + np.arange(lo.shape[0])[None, :]) % n
+    gathered = x[idx]
+    return gathered @ lo, gathered @ hi
+
+
+def _idwt_step(a: np.ndarray, d: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Adjoint of :func:`_dwt_step`: scatter-add taps back to the grid."""
+    half = a.shape[0]
+    n = 2 * half
+    idx = (2 * np.arange(half)[:, None] + np.arange(lo.shape[0])[None, :]) % n
+    y = np.zeros(n)
+    np.add.at(y, idx, lo[None, :] * a[:, None] + hi[None, :] * d[:, None])
+    return y
+
+
 def dwt_analysis(x: np.ndarray, bank: FilterBank, levels: int) -> SubbandSet:
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
     _check_levels(n, levels, bank.taps)
-    lo = np.ascontiguousarray(bank.analysis_lo)
-    hi = np.ascontiguousarray(bank.analysis_hi)
-    current = np.ascontiguousarray(x / np.sqrt(n))
+    lo, hi = bank.analysis_lo, bank.analysis_hi
+    current = x / np.sqrt(n)
     details: list[np.ndarray] = []
     for _ in range(levels):
-        current, detail = _kernels.dwt_step(current, lo, hi)
+        current, detail = _dwt_step(current, lo, hi)
         details.append(detail)
     return SubbandSet(lowband=current, details=details, levels=levels, original_length=n)
 
 
 def dwt_synthesis(bands: SubbandSet, bank: FilterBank) -> np.ndarray:
-    lo = np.ascontiguousarray(bank.synthesis_lo)
-    hi = np.ascontiguousarray(bank.synthesis_hi)
-    current = np.ascontiguousarray(bands.lowband)
+    lo, hi = bank.synthesis_lo, bank.synthesis_hi
+    current = np.asarray(bands.lowband)
     for detail in reversed(bands.details):
         if detail.shape[0] != current.shape[0]:
             raise ValueError(
                 f"inconsistent band lengths: lowband {current.shape[0]} vs detail {detail.shape[0]}"
             )
-        current = _kernels.idwt_step(current, np.ascontiguousarray(detail), lo, hi)
+        current = _idwt_step(current, detail, lo, hi)
     if current.shape[0] != bands.original_length:
         raise ValueError(
             f"bands reconstruct to length {current.shape[0]}, expected {bands.original_length}"
@@ -183,11 +175,18 @@ def design_lowpass(cutoff: float, taps: int) -> np.ndarray:
 
 
 def lowpass_filter(x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Apply an odd-length FIR circularly with its group delay removed."""
+    """Apply an odd-length FIR circularly with its group delay removed.
+
+    y[k] = sum_j h[j] * x[(k + delay - j) mod n], computed as one rfft
+    product.  The taps are first folded modulo n, so a filter longer
+    than the signal wraps exactly as the circular sum does.
+    """
+    x = np.asarray(x, dtype=float)
+    h = np.asarray(h, dtype=float)
+    n = x.shape[0]
     delay = (h.shape[0] - 1) // 2
-    return _kernels.circular_fir(
-        np.ascontiguousarray(x, dtype=float), np.ascontiguousarray(h, dtype=float), delay
-    )
+    kernel = np.bincount((np.arange(h.shape[0]) - delay) % n, weights=h, minlength=n)
+    return np.fft.irfft(np.fft.rfft(x) * np.fft.rfft(kernel), n)
 
 
 @dataclass(frozen=True)

@@ -98,12 +98,6 @@ def test_cell_errors_are_recorded_not_raised():
     assert report.errors[0].startswith("blocks/0.2:")
 
 
-def test_single_thread_cap_matches_default(monkeypatch):
-    baseline = run_experiment(SMALL)
-    monkeypatch.setenv("PES_DENOISE_THREADS", "1")
-    assert run_experiment(SMALL) == baseline
-
-
 def test_emit_csv_shapes():
     assert emit_csv(ExperimentReport(rows=())) == CSV_HEADER + "\n"
     row = ReportRow("blocks", 0.1, "universal", 10.123456, 15.98765, 0.5, 7)

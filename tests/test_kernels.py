@@ -1,87 +1,137 @@
-"""Backend parity: the numba kernels must agree with the numpy reference."""
+"""Kernel parity: the vectorized numpy kernels against direct-definition loops.
 
-import os
-import subprocess
-import sys
+Each oracle below is the textbook scalar loop for its quantity, written
+out index by index; the public functions must agree with it, including
+the wrap-around cases (bands shorter than the filter, FIR filters longer
+than the signal) and magnitude sequences with zeros and ties.
+"""
+
+import math
 
 import numpy as np
 import pytest
 
-import pes_denoise._kernels as kernels
-from pes_denoise.transforms import get_filter_bank
+from pes_denoise.projections import project_l1_ball
+from pes_denoise.transforms import (
+    BANK_NAMES,
+    SubbandSet,
+    design_lowpass,
+    dwt_analysis,
+    dwt_synthesis,
+    get_filter_bank,
+    lowpass_filter,
+)
 
-pytestmark = pytest.mark.skipif(not kernels._HAS_NUMBA, reason="numba not installed")
+
+def dwt_step_loop(x, lo, hi):
+    n = len(x)
+    a = np.zeros(n // 2)
+    d = np.zeros(n // 2)
+    for k in range(n // 2):
+        for j in range(len(lo)):
+            v = x[(2 * k + j) % n]
+            a[k] += lo[j] * v
+            d[k] += hi[j] * v
+    return a, d
 
 
-def test_dwt_step_parity():
+def idwt_step_loop(a, d, lo, hi):
+    n = 2 * len(a)
+    y = np.zeros(n)
+    for k in range(len(a)):
+        for j in range(len(lo)):
+            y[(2 * k + j) % n] += lo[j] * a[k] + hi[j] * d[k]
+    return y
+
+
+def circular_fir_loop(x, h):
+    n = len(x)
+    delay = (len(h) - 1) // 2
+    y = np.zeros(n)
+    for k in range(n):
+        for j in range(len(h)):
+            y[k] += h[j] * x[(k + delay - j) % n]
+    return y
+
+
+def l1_ball_core_loop(mu, d):
+    """(rho, theta) of the sorted rule for descending magnitudes mu."""
+    cs = 0.0
+    rho = 0
+    theta = 0.0
+    for j in range(len(mu)):
+        cs += mu[j]
+        t = (cs - d) / (j + 1)
+        if mu[j] - t > 0.0:
+            rho = j + 1
+            theta = t
+    return rho, theta
+
+
+def _lengths(bank):
+    # n = taps gives bands of half the filter length, so every output wraps.
+    return sorted({max(bank.taps, 2), 2 * bank.taps, 64})
+
+
+@pytest.mark.parametrize("name", BANK_NAMES)
+def test_dwt_analysis_matches_loop(name):
+    bank = get_filter_bank(name)
     rng = np.random.default_rng(61)
-    bank = get_filter_bank("db4")
-    for n in (8, 64, 512):
+    for n in _lengths(bank):
         x = rng.normal(size=n)
-        a_np, d_np = kernels.dwt_step_np(x, bank.analysis_lo, bank.analysis_hi)
-        a_nb, d_nb = kernels.dwt_step_nb(x, bank.analysis_lo, bank.analysis_hi)
-        assert np.max(np.abs(a_np - a_nb)) < 1e-12
-        assert np.max(np.abs(d_np - d_nb)) < 1e-12
+        bands = dwt_analysis(x, bank, 1)
+        a, d = dwt_step_loop(x / math.sqrt(n), bank.analysis_lo, bank.analysis_hi)
+        assert np.max(np.abs(bands.lowband - a)) < 1e-12
+        assert np.max(np.abs(bands.details[0] - d)) < 1e-12
 
 
-def test_idwt_step_parity():
+@pytest.mark.parametrize("name", BANK_NAMES)
+def test_dwt_synthesis_matches_loop(name):
+    bank = get_filter_bank(name)
     rng = np.random.default_rng(62)
-    bank = get_filter_bank("farras")
-    for half in (16, 128):
-        a, d = rng.normal(size=half), rng.normal(size=half)
-        y_np = kernels.idwt_step_np(a, d, bank.synthesis_lo, bank.synthesis_hi)
-        y_nb = kernels.idwt_step_nb(a, d, bank.synthesis_lo, bank.synthesis_hi)
-        assert np.max(np.abs(y_np - y_nb)) < 1e-12
+    for n in _lengths(bank):
+        a, d = rng.normal(size=n // 2), rng.normal(size=n // 2)
+        y = dwt_synthesis(SubbandSet(lowband=a, details=[d], levels=1, original_length=n), bank)
+        want = idwt_step_loop(a, d, bank.synthesis_lo, bank.synthesis_hi) * math.sqrt(n)
+        assert np.max(np.abs(y - want)) < 1e-12
 
 
-def test_circular_fir_parity():
+def test_lowpass_filter_matches_loop():
     rng = np.random.default_rng(63)
-    x = rng.normal(size=256)
-    h = rng.normal(size=33)
-    y_np = kernels.circular_fir_np(x, h, 16)
-    y_nb = kernels.circular_fir_nb(x, h, 16)
-    assert np.max(np.abs(y_np - y_nb)) < 1e-12
+    for n, taps in ((256, 33), (255, 7), (1024, 129)):
+        x = rng.normal(size=n)
+        h = rng.normal(size=taps)  # asymmetric, so the shift direction matters
+        assert np.max(np.abs(lowpass_filter(x, h) - circular_fir_loop(x, h))) < 1e-12
+        h = design_lowpass(np.pi / 4, taps)
+        assert np.max(np.abs(lowpass_filter(x, h) - circular_fir_loop(x, h))) < 1e-12
 
 
-def test_l1_ball_core_parity():
-    rng = np.random.default_rng(64)
-    for _ in range(50):
-        mu = np.sort(np.abs(rng.normal(size=65)))[::-1].copy()
-        d = float(0.5 * mu.sum())
-        rho_np, theta_np = kernels.l1_ball_core_np(mu, d)
-        rho_nb, theta_nb = kernels.l1_ball_core_nb(mu, d)
-        assert rho_np == rho_nb
-        assert abs(theta_np - theta_nb) < 1e-12
+@pytest.mark.parametrize("n", [16, 17, 48])
+def test_lowpass_filter_wraps_taps_longer_than_signal(n):
+    rng = np.random.default_rng(64 + n)
+    x = rng.normal(size=n)
+    for h in (design_lowpass(np.pi / 8, 129), rng.normal(size=129)):
+        y = lowpass_filter(x, h)
+        assert y.shape == (n,)
+        assert np.max(np.abs(y - circular_fir_loop(x, h))) < 1e-12
 
 
-def test_backend_defaults_to_numba():
-    assert kernels.BACKEND == "numba"
-    assert kernels.USE_NUMBA
-
-
-def test_env_flag_forces_numpy_backend():
-    code = "import pes_denoise._kernels as k; print(k.BACKEND)"
-    env = dict(os.environ, PES_DENOISE_NUMBA="0")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "numpy"
-
-
-def test_numpy_backend_end_to_end_agrees():
-    # full pipeline under the fallback backend must match the default one
-    code = """
-import numpy as np
-from pes_denoise.signals import generate_test_signal, add_gaussian_noise, NoiseSpec, snr_db
-from pes_denoise.denoise import denoise, DenoiseConfig
-clean = generate_test_signal("heavy-sine", 1024)
-noisy = add_gaussian_noise(clean, NoiseSpec(0.2, seed=0))
-out = denoise(noisy, DenoiseConfig(method="pes-pyramid"))
-print(f"{snr_db(clean, out):.6f}")
-"""
-    outputs = []
-    for flag in ("1", "0"):
-        env = dict(os.environ, PES_DENOISE_NUMBA=flag)
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(proc.stdout.strip())
-    assert outputs[0] == outputs[1]
+def test_l1_ball_rho_theta_match_loop():
+    rng = np.random.default_rng(65)
+    bands = [np.array([3.0, -3.0, 1.0, 0.0, 1.0, -1.0]), np.ones(8), np.array([2.0, 0.0, 0.0])]
+    for size in (1, 2, 7, 65, 300):
+        bands.append(rng.normal(size=size))
+        bands.append(rng.integers(-3, 4, size=size).astype(float))  # zeros and ties
+    checked = 0
+    for w in bands:
+        l1 = float(np.sum(np.abs(w)))
+        for frac in (0.05, 0.3, 0.5, 0.9, 0.999):
+            d = frac * l1
+            if d == 0.0:
+                continue
+            ball = project_l1_ball(w, d)
+            rho, theta = l1_ball_core_loop(np.sort(np.abs(w))[::-1], d)
+            assert ball.rho == rho
+            assert abs(ball.theta - theta) < 1e-12
+            checked += 1
+    assert checked > 50

@@ -19,7 +19,6 @@ from pes_denoise.transforms import (
     dwt_analysis,
     dwt_synthesis,
     get_filter_bank,
-    load_filter_bank,
     lowpass_filter,
     pyramid_analysis,
     pyramid_synthesis,
@@ -240,28 +239,3 @@ def test_pyramid_validation():
 def test_default_cutoffs_are_octaves():
     assert np.allclose(default_cutoffs(3), [np.pi / 2, np.pi / 4, np.pi / 8])
 
-
-# ---------------------------------------------------------------------------
-# tap files
-
-
-def test_load_filter_bank_roundtrip(tmp_path):
-    bank = get_filter_bank("farras")
-    sections = [bank.analysis_lo, bank.analysis_hi, bank.synthesis_lo, bank.synthesis_hi]
-    path = tmp_path / "farras.taps"
-    path.write_text("\n\n".join("\n".join(repr(float(c)) for c in sec) for sec in sections) + "\n")
-    loaded = load_filter_bank(str(path), name="farras-file")
-    assert loaded.name == "farras-file"
-    assert np.array_equal(loaded.analysis_lo, bank.analysis_lo)
-    assert np.array_equal(loaded.synthesis_hi, bank.synthesis_hi)
-    # loaded bank behaves identically
-    x = np.random.default_rng(36).normal(size=256)
-    y = dwt_synthesis(dwt_analysis(x, loaded, 3), loaded)
-    assert np.linalg.norm(y - x) / np.linalg.norm(x) < 1e-10
-
-
-def test_load_filter_bank_rejects_wrong_section_count(tmp_path):
-    path = tmp_path / "bad.taps"
-    path.write_text("1.0\n\n0.5\n")
-    with pytest.raises(ValueError):
-        load_filter_bank(str(path))
