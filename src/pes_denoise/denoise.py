@@ -5,6 +5,10 @@ each shrunk by the epigraph projection, which derives its own threshold
 from the data) and two classical baselines that need a noise estimate
 (the universal threshold and the 3-sigma rule).  The lowband / deepest
 lowpass component always passes through untouched.
+
+Everything works along the last axis: a (T, n) batch is T signals
+denoised at once, each exactly as it would be on its own, and a 1-D
+signal is the case T = 1.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .projections import project_epigraph_l1, soft_threshold
+from .projections import project_epigraph_rows, soft_threshold
 from .spectrum import (
     DEFAULT_ALPHA,
     DEFAULT_MAX_LEVELS,
@@ -26,6 +30,7 @@ from .transforms import (
     default_cutoffs,
     dwt_analysis,
     dwt_synthesis,
+    feasible_levels,
     get_filter_bank,
     pyramid_analysis,
     pyramid_synthesis,
@@ -58,69 +63,105 @@ class DenoiseConfig:
             raise ValueError(f"taps must be an odd integer >= 3, got {self.taps}")
 
 
-def estimate_sigma(finest_detail: np.ndarray) -> float:
-    """Robust noise scale: median(|finest detail band|) / 0.6745."""
+def estimate_sigma(finest_detail: np.ndarray) -> float | np.ndarray:
+    """Robust noise scale: median(|finest detail band|) / 0.6745.
+
+    A float for a 1-D band; one value per row for a (T, K) band.
+    """
     band = np.asarray(finest_detail, dtype=float)
-    if band.shape[0] < 8:
-        raise ValueError(f"need at least 8 coefficients, got {band.shape[0]}")
-    return float(np.median(np.abs(band)) / 0.6745)
+    if band.shape[-1] < 8:
+        raise ValueError(f"need at least 8 coefficients, got {band.shape[-1]}")
+    sigma = np.median(np.abs(band), axis=-1) / 0.6745
+    return float(sigma) if band.ndim == 1 else sigma
 
 
-def _resolve_levels(x: np.ndarray, cfg: DenoiseConfig) -> int:
+def _by_depth(x: np.ndarray, cfg: DenoiseConfig, run, taps: int | None) -> np.ndarray:
+    """run(rows, levels) over the rows of x, grouped by depth.
+
+    The depth is cfg.levels when set.  Otherwise each row gets its own
+    from the spectrum, clamped for a DWT with taps-long filters to the
+    deepest one the signal length allows.
+    """
+    rows = np.atleast_2d(np.asarray(x, dtype=float))
     if cfg.levels is not None:
-        return cfg.levels
-    return select_levels(x, cfg.alpha, cfg.smooth_window, cfg.max_levels)
+        depths = np.full(rows.shape[0], cfg.levels)
+    else:
+        depths = select_levels(rows, cfg.alpha, cfg.smooth_window, cfg.max_levels)
+        if taps is not None:
+            depths = np.minimum(depths, feasible_levels(rows.shape[-1], cfg.max_levels, taps))
+    groups = sorted(set(depths.tolist()))
+    if len(groups) == 1:
+        # One depth for every row: no copies in and out of the groups.
+        return run(rows, groups[0]).reshape(np.shape(x))
+    out = np.empty_like(rows)
+    for levels in groups:
+        picked = depths == levels
+        out[picked] = run(rows[picked], levels)
+    return out.reshape(np.shape(x))
 
 
-def _shrink_band(band: np.ndarray, strict: bool) -> np.ndarray:
-    # All-zero bands carry nothing to threshold; the projection is
-    # undefined there and they pass through.
-    if not np.any(band):
-        return band
-    return project_epigraph_l1(band, strict_paper_mode=strict).w_p
+def _wavelet(x: np.ndarray, cfg: DenoiseConfig, shrink) -> np.ndarray:
+    """DWT, shrink(details, n, cfg) on the detail bands, inverse DWT."""
+    bank = get_filter_bank(cfg.bank)
+
+    def run(rows: np.ndarray, levels: int) -> np.ndarray:
+        bands = dwt_analysis(rows, bank, levels)
+        shrunk = shrink(bands.details, rows.shape[-1], cfg)
+        return dwt_synthesis(replace(bands, details=shrunk), bank)
+
+    return _by_depth(x, cfg, run, bank.taps)
+
+
+def _epigraph_shrink(details: list[np.ndarray], n: int, cfg: DenoiseConfig) -> list[np.ndarray]:
+    return [project_epigraph_rows(band, cfg.strict_paper_mode)[0] for band in details]
 
 
 def pes_l1_wavelet(x: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
     """Wavelet denoising with per-band thresholds from epigraph projections."""
-    bank = get_filter_bank(cfg.bank)
-    bands = dwt_analysis(x, bank, _resolve_levels(x, cfg))
-    shrunk = [_shrink_band(band, cfg.strict_paper_mode) for band in bands.details]
-    return dwt_synthesis(replace(bands, details=shrunk), bank)
+    return _wavelet(x, cfg, _epigraph_shrink)
 
 
 def pes_l1_pyramid(x: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
     """Pyramid denoising: each stage's highband is shrunk by projection."""
-    levels = _resolve_levels(x, cfg)
-    pyramid = pyramid_analysis(x, default_cutoffs(levels), cfg.taps)
-    shrunk = [_shrink_band(x_hp, cfg.strict_paper_mode) for _, x_hp in pyramid.stages]
-    return pyramid_synthesis(pyramid, shrunk)
+
+    def run(rows: np.ndarray, levels: int) -> np.ndarray:
+        pyramid = pyramid_analysis(rows, default_cutoffs(levels), cfg.taps)
+        shrunk = [
+            project_epigraph_rows(x_hp, cfg.strict_paper_mode)[0] for _, x_hp in pyramid.stages
+        ]
+        return pyramid_synthesis(pyramid, shrunk)
+
+    return _by_depth(x, cfg, run, None)
 
 
-def universal_threshold(sigma: float, n: int, gamma: float = 1.0) -> float:
+def universal_threshold(
+    sigma: float | np.ndarray, n: int, gamma: float = 1.0
+) -> float | np.ndarray:
     """gamma * sigma * sqrt(2 ln N / N) with sigma in signal units."""
     return gamma * sigma * np.sqrt(2.0 * np.log(n) / n)
 
 
-def baseline_universal(x: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
-    """One universal threshold across all detail bands (needs sigma-hat)."""
-    x = np.asarray(x, dtype=float)
-    bank = get_filter_bank(cfg.bank)
-    bands = dwt_analysis(x, bank, _resolve_levels(x, cfg))
+def _universal_shrink(details: list[np.ndarray], n: int, cfg: DenoiseConfig) -> list[np.ndarray]:
     # Band coefficients carry the analysis 1/sqrt(N) scale; the MAD there
     # estimates sigma/sqrt(N), so scale back up to signal units.
-    sigma = estimate_sigma(bands.details[0]) * np.sqrt(x.shape[0])
-    theta = universal_threshold(sigma, x.shape[0], cfg.gamma)
-    shrunk = [soft_threshold(band, theta) for band in bands.details]
-    return dwt_synthesis(replace(bands, details=shrunk), bank)
+    sigma = estimate_sigma(details[0]) * np.sqrt(n)
+    theta = universal_threshold(sigma, n, cfg.gamma)[:, None]
+    return [soft_threshold(band, theta) for band in details]
+
+
+def baseline_universal(x: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
+    """One universal threshold across all detail bands (needs sigma-hat)."""
+    return _wavelet(x, cfg, _universal_shrink)
+
+
+def _three_sigma_shrink(details: list[np.ndarray], n: int, cfg: DenoiseConfig) -> list[np.ndarray]:
+    theta = 3.0 * estimate_sigma(details[0])[:, None]
+    return [soft_threshold(band, theta) for band in details]
 
 
 def baseline_three_sigma(x: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
     """Per-band soft threshold 3*sigma-hat, sigma-hat from the finest band."""
-    bank = get_filter_bank(cfg.bank)
-    bands = dwt_analysis(x, bank, _resolve_levels(x, cfg))
-    theta = 3.0 * estimate_sigma(bands.details[0])
-    shrunk = [soft_threshold(band, theta) for band in bands.details]
-    return dwt_synthesis(replace(bands, details=shrunk), bank)
+    return _wavelet(x, cfg, _three_sigma_shrink)
 
 
 _DISPATCH = {
@@ -132,7 +173,20 @@ _DISPATCH = {
 
 
 def denoise(x: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
+    """Denoise x along its last axis with the method cfg names.
+
+    x is one signal of shape (n,) or a batch of shape (T, n), with
+    n >= 16 and every sample finite.  Each row is denoised on its own,
+    with its own depth and (for the baselines) its own sigma-hat; the
+    output has x's shape.
+    """
     x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2):
+        raise ValueError(f"expected shape (n,) or (T, n), got {x.ndim}-D input of shape {x.shape}")
+    if x.shape[-1] < 16:
+        raise ValueError(f"need at least 16 samples along the last axis, got {x.shape[-1]}")
     if x.shape[0] == 0:
-        raise ValueError("cannot denoise an empty signal")
+        raise ValueError("cannot denoise a batch with no rows")
+    if not np.isfinite(x).all():
+        raise ValueError("input contains NaN or infinite samples")
     return _DISPATCH[cfg.method](x, cfg)

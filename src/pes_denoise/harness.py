@@ -2,8 +2,9 @@
 
 Every method in a cell (signal x noise fraction) sees the same noisy
 instances, seeded as base_seed + trial, so method comparisons are
-paired.  Trials run one after another in trial order, so a report is
-deterministic for a given seed.
+paired.  A cell stacks its trials as the rows of one (trials, n) matrix,
+row t seeded base_seed + t, and denoises it with one call per method,
+so a report is deterministic for a given seed.
 """
 
 from __future__ import annotations
@@ -43,6 +44,14 @@ class ExperimentSpec:
         for fraction in self.noise_fractions:
             if not 0.0 < fraction <= 1.0:
                 raise ValueError(f"noise fractions must be in (0, 1], got {fraction}")
+        labels = [cfg.method for cfg in self.methods]
+        shared = sorted({label for label in labels if labels.count(label) > 1})
+        if shared:
+            # Report rows are keyed by method label; two configurations
+            # under one label would be indistinguishable and averaged together.
+            raise ValueError(
+                f"each method may appear once per experiment; repeated: {', '.join(shared)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -75,30 +84,33 @@ def _summarize(values: list[float]) -> tuple[float, float, int]:
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     rows: list[ReportRow] = []
     errors: list[str] = []
-    method_names = [cfg.method for cfg in spec.methods]
 
     for signal_name in spec.signals:
         clean = generate_test_signal(signal_name, spec.n)
         for fraction in spec.noise_fractions:
-            results: list[tuple[float, list[float]]] = []
             try:
-                for trial in range(spec.trials):
-                    noisy = add_gaussian_noise(clean, NoiseSpec(fraction, spec.base_seed + trial))
-                    input_snr = snr_db(clean, noisy)
-                    outputs = [snr_db(clean, denoise(noisy, cfg)) for cfg in spec.methods]
-                    results.append((input_snr, outputs))
+                noisy = np.stack(
+                    [
+                        add_gaussian_noise(clean, NoiseSpec(fraction, spec.base_seed + trial))
+                        for trial in range(spec.trials)
+                    ]
+                )
+                input_snrs = [snr_db(clean, row) for row in noisy]
+                outputs = [
+                    [snr_db(clean, row) for row in denoise(noisy, cfg)] for cfg in spec.methods
+                ]
             except Exception as exc:  # noqa: BLE001 - cell aborts, error is reported
                 errors.append(f"{signal_name}/{fraction:g}: {type(exc).__name__}: {exc}")
                 continue
 
-            input_mean = float(np.mean([r[0] for r in results]))
-            for idx, method in enumerate(method_names):
-                mean_out, std_out, excluded = _summarize([r[1][idx] for r in results])
+            input_mean = float(np.mean(input_snrs))
+            for cfg, snrs in zip(spec.methods, outputs):
+                mean_out, std_out, excluded = _summarize(snrs)
                 rows.append(
                     ReportRow(
                         signal=signal_name,
                         fraction=fraction,
-                        method=method,
+                        method=cfg.method,
                         mean_input_snr_db=input_mean,
                         mean_output_snr_db=mean_out,
                         stddev_output_snr_db=std_out,

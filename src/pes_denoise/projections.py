@@ -16,13 +16,15 @@ import numpy as np
 _SIGN_TIE_TOL = 1e-12
 
 
-def soft_threshold(w: np.ndarray, theta: float) -> np.ndarray:
-    """Elementwise shrinkage sign(w) * max(|w| - theta, 0)."""
-    if theta < 0:
+def soft_threshold(w: np.ndarray, theta: float | np.ndarray) -> np.ndarray:
+    """Elementwise shrinkage sign(w) * max(|w| - theta, 0).
+
+    theta is a scalar or broadcasts against w, e.g. one threshold per row
+    of a (T, K) array as a (T, 1) column.
+    """
+    if np.any(np.asarray(theta) < 0):
         raise ValueError(f"threshold must be nonnegative, got {theta}")
     w = np.asarray(w, dtype=float)
-    if theta == 0.0:
-        return w.copy()
     return np.sign(w) * np.maximum(np.abs(w) - theta, 0.0)
 
 
@@ -47,30 +49,81 @@ class EpigraphProjection:
     fast_path: bool
 
 
+def _as_band(w: np.ndarray) -> np.ndarray:
+    w = np.asarray(w, dtype=float)
+    if w.ndim != 1:
+        raise ValueError(f"expected a 1-D band, got shape {w.shape}")
+    return w
+
+
+def _sorted_rule(mag: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, rho) per row of a (T, K) magnitude array whose l1 mass
+    exceeds its ball size d > 0 (Duchi et al. 2008, "Efficient projections
+    onto the l1-ball").
+
+    With the descending magnitudes mu_1 >= ... of a row,
+    rho = max{ j : mu_j - (sum_{r<=j} mu_r - d)/j > 0 } and
+    theta = (sum_{r<=rho} mu_r - d)/rho.
+    """
+    mu = np.sort(mag, axis=-1)[:, ::-1]
+    cs = mu.cumsum(axis=-1)
+    keep = mu - (cs - d[:, None]) / np.arange(1, mu.shape[-1] + 1) > 0.0
+    # The last True of each row; j = 1 always holds since d > 0.
+    rho = mu.shape[-1] - keep[:, ::-1].argmax(axis=-1)
+    theta = (cs[np.arange(rho.shape[0]), rho - 1] - d) / rho
+    return theta, rho
+
+
 def project_l1_ball(w: np.ndarray, d: float) -> BallProjection:
     """Euclidean projection onto {u : sum |u[n]| <= d} (sorted variant).
 
     Interior points return unchanged with theta = 0.  Outside the ball,
-    the threshold follows from the descending magnitudes mu_1 >= ... by
-    rho = max{ j : mu_j - (sum_{r<=j} mu_r - d)/j > 0 } and
-    theta = (sum_{r<=rho} mu_r - d)/rho, then w_p = soft(w, theta).
+    the threshold comes from the sorted rule (see :func:`_sorted_rule`),
+    then w_p = soft(w, theta).
     """
     if d < 0:
         raise ValueError(f"ball size must be nonnegative, got {d}")
-    w = np.asarray(w, dtype=float)
-    l1 = float(np.sum(np.abs(w)))
-    if l1 <= d:
+    w = _as_band(w)
+    mag = np.abs(w)
+    if float(np.sum(mag)) <= d:
         return BallProjection(w_p=w.copy(), theta=0.0, d=float(d), rho=0)
     if d == 0.0:
-        # Algorithm's rho is undefined here; the smallest threshold that
+        # The rule's rho is undefined here; the smallest threshold that
         # empties the ball is the max magnitude.
-        return BallProjection(w_p=np.zeros_like(w), theta=float(np.max(np.abs(w))), d=0.0, rho=0)
-    mu = np.sort(np.abs(w))[::-1]
-    cs = np.cumsum(mu)
-    keep = mu - (cs - d) / np.arange(1, mu.shape[0] + 1) > 0.0
-    rho = int(np.flatnonzero(keep)[-1]) + 1
-    theta = float((cs[rho - 1] - d) / rho)
-    return BallProjection(w_p=soft_threshold(w, theta), theta=theta, d=float(d), rho=rho)
+        return BallProjection(w_p=np.zeros_like(w), theta=float(np.max(mag)), d=0.0, rho=0)
+    theta, rho = _sorted_rule(mag[None, :], np.array([float(d)]))
+    theta = float(theta[0])
+    return BallProjection(w_p=soft_threshold(w, theta), theta=theta, d=float(d), rho=int(rho[0]))
+
+
+def project_epigraph_rows(
+    w: np.ndarray, strict_paper_mode: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise epigraph projection of a (T, K) array.
+
+    Returns (w_p, z_p, d, fast_path) with one z_p, d and fast_path per
+    row, each as in :func:`project_epigraph_l1`.  Only the rows whose
+    signs flip take the sorted l1-ball rule.  An all-zero row has nothing
+    to threshold and passes through unchanged on the fast path.
+    """
+    mag = np.abs(w)
+    s = np.sign(w)
+    nonzero = w != 0
+    m = (w.shape[-1] + 1) if strict_paper_mode else (nonzero.sum(axis=-1) + 1)
+    t = mag.sum(axis=-1) / m
+    w_p = w - t[:, None] * s
+    d = (s * w_p).sum(axis=-1)
+    # w_p = sign(w) * (|w| - t) exactly, so a nonzero entry's sign flips
+    # where t - |w| > 0; flips within the tie tolerance do not count.
+    flipped = ((t[:, None] - mag > _SIGN_TIE_TOL) & nonzero).any(axis=-1)
+    z_p = t
+    if flipped.any():
+        mag_f = mag[flipped]
+        theta, _ = _sorted_rule(mag_f, d[flipped])
+        ball = s[flipped] * np.maximum(mag_f - theta[:, None], 0.0)  # soft(w, theta)
+        w_p[flipped] = ball
+        z_p[flipped] = np.abs(ball).sum(axis=-1)
+    return w_p, z_p, d, ~flipped
 
 
 def project_epigraph_l1(w: np.ndarray, strict_paper_mode: bool = False) -> EpigraphProjection:
@@ -86,19 +139,10 @@ def project_epigraph_l1(w: np.ndarray, strict_paper_mode: bool = False) -> Epigr
     squared norm since sign(0) = 0; strict_paper_mode uses len(w)+1
     regardless, for reproducing results that assumed no zero entries.
     """
-    w = np.asarray(w, dtype=float)
+    w = _as_band(w)
     if not np.any(w):
         raise ValueError("epigraph projection undefined for an all-zero band")
-    s = np.sign(w)
-    d_max = float(np.sum(s * w))
-    nnz = int(np.count_nonzero(w))
-    m = (w.shape[0] + 1) if strict_paper_mode else (nnz + 1)
-    t = d_max / m
-    w_p = w - t * s
-    z_p = t
-    d = float(np.sum(s * w_p))
-    flipped = (np.sign(w_p) != s) & (w != 0) & (np.abs(w_p) > _SIGN_TIE_TOL)
-    if not flipped.any():
-        return EpigraphProjection(w_p=w_p, z_p=z_p, d=d, fast_path=True)
-    ball = project_l1_ball(w, d)
-    return EpigraphProjection(w_p=ball.w_p, z_p=float(np.sum(np.abs(ball.w_p))), d=d, fast_path=False)
+    w_p, z_p, d, fast_path = project_epigraph_rows(w[None, :], strict_paper_mode)
+    return EpigraphProjection(
+        w_p=w_p[0], z_p=float(z_p[0]), d=float(d[0]), fast_path=bool(fast_path[0])
+    )

@@ -29,20 +29,24 @@ class BandwidthEstimate:
 
 
 def magnitude_spectrum(x: np.ndarray) -> np.ndarray:
-    """|DFT| at bins 0..N/2 (real-input half spectrum); bin k <-> 2*pi*k/N."""
+    """|DFT| at bins 0..N/2 along the last axis (real-input half spectrum);
+    bin k <-> 2*pi*k/N."""
     x = np.asarray(x, dtype=float)
-    if x.shape[0] < 16:
-        raise ValueError(f"need at least 16 samples, got {x.shape[0]}")
-    return np.abs(np.fft.rfft(x))
+    if x.shape[-1] < 16:
+        raise ValueError(f"need at least 16 samples along the last axis, got {x.shape[-1]}")
+    return np.abs(np.fft.rfft(x, axis=-1))
 
 
 def _smooth(mag: np.ndarray, window: int) -> np.ndarray:
+    """Moving average along each row of a (T, m) array, edges reflected."""
     if window < 1 or window % 2 == 0:
         raise ValueError(f"smooth window must be a positive odd integer, got {window}")
-    if window == 1:
-        return mag.copy()
-    padded = np.pad(mag, window // 2, mode="reflect")
-    return np.convolve(padded, np.ones(window) / window, mode="valid")
+    h = window // 2
+    if mag.shape[-1] <= h:
+        raise ValueError(f"need more than {h} spectrum bins for a {window}-bin window")
+    padded = np.concatenate([mag[:, h:0:-1], mag, mag[:, -2:-h - 2:-1]], axis=-1)
+    kernel = np.ones(window) / window
+    return np.array([np.convolve(row, kernel, mode="valid") for row in padded])
 
 
 def levels_for_bandwidth(omega0: float, max_levels: int = DEFAULT_MAX_LEVELS) -> int:
@@ -55,35 +59,47 @@ def levels_for_bandwidth(omega0: float, max_levels: int = DEFAULT_MAX_LEVELS) ->
     return max(1, min(max_levels, levels))
 
 
+def _estimate_rows(
+    mag: np.ndarray, alpha: float, smooth_window: int, max_levels: int
+) -> list[BandwidthEstimate]:
+    """One estimate per row of a (T, m) half spectrum."""
+    if alpha <= 1.0:
+        raise ValueError(f"alpha must exceed 1, got {alpha}")
+    smoothed = _smooth(mag, smooth_window)
+    m = smoothed.shape[-1]
+    noise_floors = np.median(smoothed[:, (3 * m) // 4:], axis=-1)
+    above = smoothed >= alpha * noise_floors[:, None]
+    # One past the last bin that clears the floor, 0 when none does.
+    crossings = np.where(above.any(axis=-1), m - np.argmax(above[:, ::-1], axis=-1), 0)
+    estimates = []
+    for crossing, noise_floor in zip(crossings.tolist(), noise_floors.tolist()):
+        if crossing == 0:
+            # Nothing clears the floor criterion: report the first bin and
+            # the deepest decomposition, flagged.
+            estimates.append(
+                BandwidthEstimate(math.pi / (m - 1), noise_floor, max_levels, degenerate=True)
+            )
+        elif crossing >= m - 1:
+            # Magnitude stays above the floor to the Nyquist bin: no L >= 1
+            # can satisfy pi/2^L > omega0.
+            estimates.append(BandwidthEstimate(math.pi, noise_floor, 1, degenerate=True))
+        else:
+            omega0 = math.pi * crossing / (m - 1)
+            levels = levels_for_bandwidth(omega0, max_levels)
+            degenerate = math.pi / (1 << levels) <= omega0
+            estimates.append(BandwidthEstimate(omega0, noise_floor, levels, degenerate))
+    return estimates
+
+
 def estimate_bandwidth(
     mag: np.ndarray,
     alpha: float = DEFAULT_ALPHA,
     smooth_window: int = DEFAULT_SMOOTH_WINDOW,
     max_levels: int = DEFAULT_MAX_LEVELS,
 ) -> BandwidthEstimate:
-    if alpha <= 1.0:
-        raise ValueError(f"alpha must exceed 1, got {alpha}")
-    smoothed = _smooth(np.asarray(mag, dtype=float), smooth_window)
-    m = smoothed.shape[0]
-    noise_floor = float(np.median(smoothed[(3 * m) // 4:]))
-    above = np.nonzero(smoothed >= alpha * noise_floor)[0]
-    if above.size == 0:
-        # Nothing clears the floor criterion: report the first bin and
-        # the deepest decomposition, flagged.
-        return BandwidthEstimate(
-            omega0=math.pi / (m - 1), noise_floor=noise_floor, levels=max_levels, degenerate=True
-        )
-    crossing = int(above.max()) + 1
-    if crossing >= m - 1:
-        # Magnitude stays above the floor to the Nyquist bin: no L >= 1
-        # can satisfy pi/2^L > omega0.
-        return BandwidthEstimate(
-            omega0=math.pi, noise_floor=noise_floor, levels=1, degenerate=True
-        )
-    omega0 = math.pi * crossing / (m - 1)
-    levels = levels_for_bandwidth(omega0, max_levels)
-    degenerate = math.pi / (1 << levels) <= omega0
-    return BandwidthEstimate(omega0=omega0, noise_floor=noise_floor, levels=levels, degenerate=degenerate)
+    """Bandwidth and depth from one half spectrum (1-D ``mag``)."""
+    mag = np.asarray(mag, dtype=float)
+    return _estimate_rows(mag[None, :], alpha, smooth_window, max_levels)[0]
 
 
 def select_levels(
@@ -91,6 +107,15 @@ def select_levels(
     alpha: float = DEFAULT_ALPHA,
     smooth_window: int = DEFAULT_SMOOTH_WINDOW,
     max_levels: int = DEFAULT_MAX_LEVELS,
-) -> int:
-    """Decomposition depth for a (noisy) signal, straight from its spectrum."""
-    return estimate_bandwidth(magnitude_spectrum(x), alpha, smooth_window, max_levels).levels
+) -> int | np.ndarray:
+    """Decomposition depth for a (noisy) signal, straight from its spectrum.
+
+    An int for a 1-D signal; for a (T, n) array, an int array with one
+    depth per row.
+    """
+    x = np.asarray(x, dtype=float)
+    rows = _estimate_rows(
+        magnitude_spectrum(np.atleast_2d(x)), alpha, smooth_window, max_levels
+    )
+    levels = np.array([estimate.levels for estimate in rows])
+    return int(levels[0]) if x.ndim == 1 else levels

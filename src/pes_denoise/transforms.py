@@ -1,5 +1,8 @@
 """Dyadic wavelet analysis/synthesis and the subtractive pyramid.
 
+Every transform works along the last axis, so a (T, n) array is T
+signals transformed at once and a 1-D signal is the case T = 1.
+
 Wavelet side: orthonormal two-channel banks applied as periodic
 correlation (analysis) and its adjoint (synthesis), which gives exact
 perfect reconstruction and Parseval energy bookkeeping.  The input is
@@ -14,6 +17,7 @@ making every stage additive sample-for-sample.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,49 +95,71 @@ def get_filter_bank(name: str) -> FilterBank:
 @dataclass(frozen=True)
 class SubbandSet:
     lowband: np.ndarray
-    details: list[np.ndarray]  # finest first
+    details: list[np.ndarray]  # finest first; each (..., band length)
     levels: int
     original_length: int
 
 
-def _check_levels(n: int, levels: int, taps: int) -> None:
+def _levels_error(n: int, levels: int, taps: int) -> str | None:
     if levels < 1:
-        raise ValueError(f"levels must be >= 1, got {levels}")
+        return f"levels must be >= 1, got {levels}"
     if n % (1 << levels) != 0:
-        raise ValueError(f"length {n} is not divisible by 2^{levels}")
+        return f"length {n} is not divisible by 2^{levels}"
     if n // (1 << (levels - 1)) < taps:
-        raise ValueError(
+        return (
             f"too many levels: stage {levels} would see {n // (1 << (levels - 1))} "
             f"samples, shorter than the {taps}-tap filters"
         )
+    return None
+
+
+def feasible_levels(n: int, levels: int, taps: int) -> int:
+    """The largest depth <= levels that a length-n DWT with taps-long filters
+    accepts, or 1 when none does (dwt_analysis then says why)."""
+    while levels > 1 and _levels_error(n, levels, taps) is not None:
+        levels -= 1
+    return levels
+
+
+@functools.lru_cache(maxsize=64)
+def _step_indices(half: int, taps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only gather indices of one DWT step with half coefficients per band.
+
+    Analysis: coefficient k reads samples (2k + j) mod 2*half for taps j.
+    Synthesis: sample 2p + r reads tap 2i + r of the coefficients
+    k = (p - i) mod half, the k with 2k + 2i + r = 2p + r (mod 2*half).
+    """
+    analysis = (2 * np.arange(half)[:, None] + np.arange(taps)[None, :]) % (2 * half)
+    synthesis = (np.arange(half)[:, None] - np.arange(taps // 2)[None, :]) % half
+    analysis.flags.writeable = False
+    synthesis.flags.writeable = False
+    return analysis, synthesis
 
 
 def _dwt_step(x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """One analysis split: correlate with lo/hi and keep even phases.
+    """One analysis split along the last axis: correlate with lo/hi and
+    keep even phases.
 
-    Periodic boundary: indices wrap modulo len(x).
+    Periodic boundary: indices wrap modulo the signal length.
     """
-    n = x.shape[0]
-    half = n // 2
-    idx = (2 * np.arange(half)[:, None] + np.arange(lo.shape[0])[None, :]) % n
-    gathered = x[idx]
+    gathered = np.take(x, _step_indices(x.shape[-1] // 2, lo.shape[0])[0], axis=-1)
     return gathered @ lo, gathered @ hi
 
 
 def _idwt_step(a: np.ndarray, d: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Adjoint of :func:`_dwt_step`: scatter-add taps back to the grid."""
-    half = a.shape[0]
-    n = 2 * half
-    idx = (2 * np.arange(half)[:, None] + np.arange(lo.shape[0])[None, :]) % n
-    y = np.zeros(n)
-    np.add.at(y, idx, lo[None, :] * a[:, None] + hi[None, :] * d[:, None])
-    return y
+    """Adjoint of :func:`_dwt_step`, computed as a gather."""
+    half = a.shape[-1]
+    idx = _step_indices(half, lo.shape[0])[1]
+    y = np.take(a, idx, axis=-1) @ lo.reshape(-1, 2) + np.take(d, idx, axis=-1) @ hi.reshape(-1, 2)
+    return y.reshape(*a.shape[:-1], 2 * half)
 
 
 def dwt_analysis(x: np.ndarray, bank: FilterBank, levels: int) -> SubbandSet:
     x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    _check_levels(n, levels, bank.taps)
+    n = x.shape[-1]
+    error = _levels_error(n, levels, bank.taps)
+    if error is not None:
+        raise ValueError(error)
     lo, hi = bank.analysis_lo, bank.analysis_hi
     current = x / np.sqrt(n)
     details: list[np.ndarray] = []
@@ -147,14 +173,15 @@ def dwt_synthesis(bands: SubbandSet, bank: FilterBank) -> np.ndarray:
     lo, hi = bank.synthesis_lo, bank.synthesis_hi
     current = np.asarray(bands.lowband)
     for detail in reversed(bands.details):
-        if detail.shape[0] != current.shape[0]:
+        if detail.shape[-1] != current.shape[-1]:
             raise ValueError(
-                f"inconsistent band lengths: lowband {current.shape[0]} vs detail {detail.shape[0]}"
+                f"inconsistent band lengths: lowband {current.shape[-1]} "
+                f"vs detail {detail.shape[-1]}"
             )
         current = _idwt_step(current, detail, lo, hi)
-    if current.shape[0] != bands.original_length:
+    if current.shape[-1] != bands.original_length:
         raise ValueError(
-            f"bands reconstruct to length {current.shape[0]}, expected {bands.original_length}"
+            f"bands reconstruct to length {current.shape[-1]}, expected {bands.original_length}"
         )
     return current * np.sqrt(bands.original_length)
 
@@ -174,19 +201,37 @@ def design_lowpass(cutoff: float, taps: int) -> np.ndarray:
     return h / h.sum()
 
 
+def _kernel_spectrum(h: np.ndarray, n: int) -> np.ndarray:
+    """rfft of the odd-length FIR h folded modulo n with its group delay
+    removed, so taps longer than the signal wrap exactly as the circular
+    sum does."""
+    delay = (h.shape[0] - 1) // 2
+    return np.fft.rfft(np.bincount((np.arange(h.shape[0]) - delay) % n, weights=h, minlength=n))
+
+
+@functools.lru_cache(maxsize=32)
+def _lowpass_spectrum(cutoff: float, taps: int, n: int) -> np.ndarray:
+    """Read-only kernel spectrum of design_lowpass(cutoff, taps) at length n."""
+    spectrum = _kernel_spectrum(design_lowpass(cutoff, taps), n)
+    spectrum.flags.writeable = False
+    return spectrum
+
+
+def _filter(x: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    product = np.fft.rfft(x, axis=-1)
+    product *= spectrum
+    return np.fft.irfft(product, x.shape[-1], axis=-1)
+
+
 def lowpass_filter(x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Apply an odd-length FIR circularly with its group delay removed.
+    """Apply an odd-length FIR circularly along the last axis with its group
+    delay removed.
 
     y[k] = sum_j h[j] * x[(k + delay - j) mod n], computed as one rfft
-    product.  The taps are first folded modulo n, so a filter longer
-    than the signal wraps exactly as the circular sum does.
+    product.
     """
     x = np.asarray(x, dtype=float)
-    h = np.asarray(h, dtype=float)
-    n = x.shape[0]
-    delay = (h.shape[0] - 1) // 2
-    kernel = np.bincount((np.arange(h.shape[0]) - delay) % n, weights=h, minlength=n)
-    return np.fft.irfft(np.fft.rfft(x) * np.fft.rfft(kernel), n)
+    return _filter(x, _kernel_spectrum(np.asarray(h, dtype=float), x.shape[-1]))
 
 
 @dataclass(frozen=True)
@@ -207,7 +252,7 @@ def pyramid_analysis(x: np.ndarray, cutoffs: list[float], taps: int = 129) -> Py
     stages: list[tuple[np.ndarray, np.ndarray]] = []
     current = x
     for cutoff in cutoffs:
-        x_lp = lowpass_filter(current, design_lowpass(cutoff, taps))
+        x_lp = _filter(current, _lowpass_spectrum(cutoff, taps, x.shape[-1]))
         x_hp = current - x_lp
         stages.append((x_lp, x_hp))
         current = x_lp

@@ -137,6 +137,22 @@ def test_experiment_failure_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_experiment_rejects_repeated_method(capsys):
+    rc = run(
+        [
+            "experiment",
+            "--signal", "cusp",
+            "--noise", "0.2",
+            "--method", "pes-wavelet",
+            "--method", "pes-wavelet",
+            "--trials", "1",
+            "--n", "256",
+        ]
+    )
+    assert rc == 2
+    assert "repeated: pes-wavelet" in capsys.readouterr().err
+
+
 def test_strict_paper_flag_accepted(capsys):
     rc = run(["denoise", "--signal", "cusp", "--noise", "0.1", "--strict-paper", "--n", "256"])
     assert rc == 0

@@ -5,8 +5,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from pes_denoise.denoise import (
+    METHODS,
     DenoiseConfig,
     baseline_three_sigma,
     baseline_universal,
@@ -16,8 +19,15 @@ from pes_denoise.denoise import (
     pes_l1_wavelet,
     universal_threshold,
 )
-from pes_denoise.signals import NoiseSpec, add_gaussian_noise, generate_test_signal, snr_db
-from pes_denoise.transforms import dwt_analysis, dwt_synthesis, get_filter_bank
+from pes_denoise.signals import (
+    SIGNAL_NAMES,
+    NoiseSpec,
+    add_gaussian_noise,
+    generate_test_signal,
+    snr_db,
+)
+from pes_denoise.spectrum import select_levels
+from pes_denoise.transforms import BANK_NAMES, dwt_analysis, dwt_synthesis, get_filter_bank
 
 
 def test_estimate_sigma_basics():
@@ -182,3 +192,97 @@ def test_config_validation():
         DenoiseConfig(taps=128)
     with pytest.raises(ValueError):
         denoise(np.array([]), DenoiseConfig())
+
+
+# ---------------------------------------------------------------------------
+# input contract
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_is_rejected(method, bad):
+    y = add_gaussian_noise(generate_test_signal("blocks", 256), NoiseSpec(0.2, seed=7))
+    y[100] = bad
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        denoise(y, DenoiseConfig(method=method))
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        denoise(np.stack([y, np.roll(y, 3)]), DenoiseConfig(method=method))
+
+
+@pytest.mark.parametrize("shape", [(), (2, 2, 64), (1, 1, 1, 32)])
+def test_only_1d_and_2d_inputs_are_accepted(shape):
+    with pytest.raises(ValueError, match="shape"):
+        denoise(np.ones(shape), DenoiseConfig())
+
+
+def test_short_last_axis_is_rejected_by_name():
+    with pytest.raises(ValueError, match="last axis, got 15"):
+        denoise(np.ones(15), DenoiseConfig())
+    # (T, n) with many rows but short rows: the message is about n, not T.
+    with pytest.raises(ValueError, match="last axis, got 2"):
+        denoise(np.ones((64, 2)), DenoiseConfig())
+    with pytest.raises(ValueError):
+        denoise(np.ones((0, 64)), DenoiseConfig())
+
+
+# ---------------------------------------------------------------------------
+# automatic depth is always feasible
+
+
+@pytest.mark.parametrize("method", ["pes-wavelet", "universal", "three-sigma"])
+def test_automatic_depth_is_clamped_to_a_feasible_dwt(method):
+    # 1000 = 8 * 125: the spectrum asks for 5 levels, a DWT allows 3.
+    clean = generate_test_signal("heavy-sine", 1000)
+    y = add_gaussian_noise(clean, NoiseSpec(0.2, seed=8))
+    assert select_levels(y) == 5
+    out = denoise(y, DenoiseConfig(method=method))
+    assert np.array_equal(out, denoise(y, DenoiseConfig(method=method, levels=3)))
+    assert snr_db(clean, out) > snr_db(clean, y)
+    with pytest.raises(ValueError, match="not divisible"):
+        denoise(y, DenoiseConfig(method=method, levels=5))
+
+
+@pytest.mark.parametrize("method", ["pes-wavelet", "universal", "three-sigma"])
+def test_shortest_signal_gets_a_feasible_depth(method):
+    # At n=16 the spectrum picks 6 levels; db4 fits at most 3.
+    y = add_gaussian_noise(generate_test_signal("doppler", 16), NoiseSpec(0.2, seed=9))
+    out = denoise(y, DenoiseConfig(method=method))
+    assert out.shape == (16,) and np.all(np.isfinite(out))
+    with pytest.raises(ValueError, match="too many levels"):
+        denoise(y, DenoiseConfig(method=method, levels=4))
+
+
+# ---------------------------------------------------------------------------
+# a (T, n) batch is T independent signals
+
+_FRACTIONS = (0.05, 0.1, 0.3, 0.6)
+_row = st.tuples(st.sampled_from(SIGNAL_NAMES), st.sampled_from(_FRACTIONS), st.integers(0, 10_000))
+# blocks at 10% picks depth 2, bumps at 60% depth 6 and heavy-sine at 30% depth 4 (n=256).
+_MIXED = [("blocks", 0.1, 0), ("bumps", 0.6, 0), ("heavy-sine", 0.3, 1)]
+
+
+def _batch(rows, n=256):
+    return np.stack(
+        [
+            add_gaussian_noise(generate_test_signal(name, n), NoiseSpec(f, seed))
+            for name, f, seed in rows
+        ]
+    )
+
+
+def test_mixed_batch_spans_several_depths():
+    assert len(set(select_levels(_batch(_MIXED)).tolist())) == 3
+
+
+@pytest.mark.parametrize("method", METHODS)
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(rows=st.lists(_row, min_size=1, max_size=6), bank=st.sampled_from(BANK_NAMES))
+@example(rows=_MIXED, bank="db4")
+@example(rows=_MIXED + _MIXED[:1], bank="farras")
+def test_batch_rows_equal_single_calls(method, rows, bank):
+    x = _batch(rows)
+    cfg = DenoiseConfig(method=method, bank=bank)
+    out = denoise(x, cfg)
+    assert out.shape == x.shape
+    for t in range(x.shape[0]):
+        assert np.max(np.abs(out[t] - denoise(x[t], cfg))) < 1e-12

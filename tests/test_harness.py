@@ -64,17 +64,64 @@ def test_pyramid_beats_input_snr_by_wide_margin():
     assert row.mean_output_snr_db - row.mean_input_snr_db >= 8.0
 
 
-def test_duplicated_method_pairs_exactly():
+def test_methods_sharing_a_label_are_rejected():
+    # Report rows are keyed by method label, so two configurations of one
+    # method would give rows that cannot be told apart.
+    for methods in (
+        (DenoiseConfig(method="pes-wavelet"), DenoiseConfig(method="pes-wavelet")),
+        (
+            DenoiseConfig(method="universal", bank="haar"),
+            DenoiseConfig(method="universal", bank="db4"),
+        ),
+    ):
+        with pytest.raises(ValueError, match="repeated"):
+            ExperimentSpec(methods=methods)
+
+
+def test_length_without_a_deep_dwt_reports_every_cell():
+    # n = 1000 allows at most a 3-level DWT; the automatic depth is clamped.
     spec = ExperimentSpec(
-        signals=("doppler",),
-        noise_fractions=(0.3,),
-        trials=4,
-        methods=(DenoiseConfig(method="pes-wavelet"), DenoiseConfig(method="pes-wavelet")),
-        n=512,
+        signals=("heavy-sine", "blocks"), noise_fractions=(0.2,), trials=3, n=1000
     )
-    rows = run_experiment(spec).rows
-    assert rows[0].mean_output_snr_db == rows[1].mean_output_snr_db
-    assert rows[0].stddev_output_snr_db == rows[1].stddev_output_snr_db
+    report = run_experiment(spec)
+    assert report.errors == ()
+    assert len(report.rows) == 2 * len(spec.methods)
+
+
+# emit_csv of GOLDEN_SPEC at the commit before trials were denoised as one
+# (trials, n) batch per method; the batch must reproduce it byte for byte.
+GOLDEN_SPEC = ExperimentSpec(signals=("blocks", "heavy-sine"), trials=3, n=256)
+GOLDEN_CSV = """\
+signal,fraction,method,input_snr_db,output_snr_db,stddev_db,trials
+blocks,0.1000,pes-pyramid,13.7535,13.4855,0.2252,3
+blocks,0.1000,pes-wavelet,13.7535,11.9467,0.2106,3
+blocks,0.1000,universal,13.7535,12.9703,0.5526,3
+blocks,0.1000,three-sigma,13.7535,13.4138,0.5756,3
+blocks,0.2000,pes-pyramid,7.7329,9.3334,0.2811,3
+blocks,0.2000,pes-wavelet,7.7329,10.0822,0.4600,3
+blocks,0.2000,universal,7.7329,9.9896,0.4376,3
+blocks,0.2000,three-sigma,7.7329,10.1309,0.3967,3
+blocks,0.3000,pes-pyramid,4.2111,7.1035,0.1206,3
+blocks,0.3000,pes-wavelet,4.2111,7.9432,0.4975,3
+blocks,0.3000,universal,4.2111,7.7193,0.4944,3
+blocks,0.3000,three-sigma,4.2111,7.8565,0.5338,3
+heavy-sine,0.1000,pes-pyramid,17.9725,24.0234,0.7784,3
+heavy-sine,0.1000,pes-wavelet,17.9725,23.6341,0.9897,3
+heavy-sine,0.1000,universal,17.9725,23.6790,0.9022,3
+heavy-sine,0.1000,three-sigma,17.9725,23.8262,0.8700,3
+heavy-sine,0.2000,pes-pyramid,11.9519,21.3112,0.5973,3
+heavy-sine,0.2000,pes-wavelet,11.9519,18.8678,0.7781,3
+heavy-sine,0.2000,universal,11.9519,18.4885,0.6503,3
+heavy-sine,0.2000,three-sigma,11.9519,18.5662,0.5800,3
+heavy-sine,0.3000,pes-pyramid,8.4301,19.8740,0.8897,3
+heavy-sine,0.3000,pes-wavelet,8.4301,17.6200,1.3428,3
+heavy-sine,0.3000,universal,8.4301,17.4201,1.2672,3
+heavy-sine,0.3000,three-sigma,8.4301,17.4295,1.2539,3
+"""
+
+
+def test_report_matches_golden_csv():
+    assert emit_csv(run_experiment(GOLDEN_SPEC)) == GOLDEN_CSV
 
 
 def test_summarize_excludes_infinite_sentinels():

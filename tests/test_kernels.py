@@ -21,6 +21,7 @@ from pes_denoise.transforms import (
     get_filter_bank,
     lowpass_filter,
 )
+from pes_denoise.transforms import _dwt_step, _idwt_step
 
 
 def dwt_step_loop(x, lo, hi):
@@ -96,6 +97,26 @@ def test_dwt_synthesis_matches_loop(name):
         assert np.max(np.abs(y - want)) < 1e-12
 
 
+@pytest.mark.parametrize("name", BANK_NAMES)
+def test_batched_steps_match_loops(name):
+    # The synthesis step is a gather; the loop is the textbook scatter-add.
+    # Bands of 1..3 coefficients wrap the filter around the output several times.
+    bank = get_filter_bank(name)
+    lo, hi = bank.synthesis_lo, bank.synthesis_hi
+    rng = np.random.default_rng(66)
+    for half in sorted({1, 2, 3, bank.taps // 2, 2 * bank.taps, 33}):
+        a, d = rng.normal(size=(3, half)), rng.normal(size=(3, half))
+        y = _idwt_step(a, d, lo, hi)
+        assert y.shape == (3, 2 * half)
+        x = rng.normal(size=(3, 2 * half))
+        low, high = _dwt_step(x, bank.analysis_lo, bank.analysis_hi)
+        for t in range(3):
+            assert np.max(np.abs(y[t] - idwt_step_loop(a[t], d[t], lo, hi))) < 1e-12
+            want_low, want_high = dwt_step_loop(x[t], bank.analysis_lo, bank.analysis_hi)
+            assert np.max(np.abs(low[t] - want_low)) < 1e-12
+            assert np.max(np.abs(high[t] - want_high)) < 1e-12
+
+
 def test_lowpass_filter_matches_loop():
     rng = np.random.default_rng(63)
     for n, taps in ((256, 33), (255, 7), (1024, 129)):
@@ -104,6 +125,10 @@ def test_lowpass_filter_matches_loop():
         assert np.max(np.abs(lowpass_filter(x, h) - circular_fir_loop(x, h))) < 1e-12
         h = design_lowpass(np.pi / 4, taps)
         assert np.max(np.abs(lowpass_filter(x, h) - circular_fir_loop(x, h))) < 1e-12
+        rows = np.stack([x, -2.0 * x[::-1]])
+        got = lowpass_filter(rows, h)
+        for row, y in zip(rows, got):
+            assert np.max(np.abs(y - circular_fir_loop(row, h))) < 1e-12
 
 
 @pytest.mark.parametrize("n", [16, 17, 48])

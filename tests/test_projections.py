@@ -13,6 +13,7 @@ from scipy.optimize import bisect
 from pes_denoise.projections import (
     l1_ball_max_size,
     project_epigraph_l1,
+    project_epigraph_rows,
     project_l1_ball,
     soft_threshold,
 )
@@ -254,3 +255,23 @@ def test_epigraph_zero_entries_and_strict_mode():
     assert np.max(np.abs(strict.w_p - np.array([0.5, 0.0, 0.5]))) < 1e-12
     assert abs(strict.z_p - 0.5) < 1e-12
     assert default.w_p[1] == 0.0 and strict.w_p[1] == 0.0
+
+
+def test_epigraph_rows_are_independent():
+    # One (T, K) call equals T single-band calls, whichever branch each row
+    # takes; an all-zero row passes through unchanged.
+    rng = np.random.default_rng(13)
+    w = rng.normal(size=(6, 40))
+    w[1] = 0.0
+    w[2] = np.sign(w[2]) * (1.0 + 0.001 * rng.uniform(size=40))  # no sign flips
+    w[3, ::3] = 0.0
+    w[4] = rng.integers(-2, 3, size=40)  # zeros and ties
+    for strict in (False, True):
+        w_p, z_p, d, fast_path = project_epigraph_rows(w, strict)
+        assert fast_path[2] and not fast_path[0]
+        assert fast_path[1] and np.array_equal(w_p[1], np.zeros(40)) and z_p[1] == 0.0
+        for t in (0, 2, 3, 4, 5):
+            one = project_epigraph_l1(w[t], strict_paper_mode=strict)
+            assert np.max(np.abs(w_p[t] - one.w_p)) < 1e-12
+            assert abs(z_p[t] - one.z_p) < 1e-12 and abs(d[t] - one.d) < 1e-12
+            assert fast_path[t] == one.fast_path

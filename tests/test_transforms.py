@@ -145,6 +145,26 @@ def test_synthesis_rejects_inconsistent_lengths():
         dwt_synthesis(broken, bank)
 
 
+@pytest.mark.parametrize("bank", ALL_BANKS, ids=BANK_NAMES)
+def test_batched_roundtrip_and_parseval(bank):
+    # A (T, n) array is T signals transformed along the last axis.
+    rng = np.random.default_rng(24)
+    x = rng.normal(size=(5, 256)) * rng.uniform(0.1, 10.0, size=(5, 1))
+    for levels in (1, 3, 5):
+        bands = dwt_analysis(x, bank, levels)
+        assert bands.lowband.shape == (5, 256 >> levels)
+        assert [d.shape for d in bands.details] == [(5, 256 >> k) for k in range(1, levels + 1)]
+        y = dwt_synthesis(bands, bank)
+        assert np.max(np.abs(y - x) / np.abs(x).max(axis=-1, keepdims=True)) < 1e-12
+        energy = np.sum(bands.lowband**2, axis=-1) + sum(np.sum(d**2, axis=-1) for d in bands.details)
+        ref = np.sum(x**2, axis=-1) / x.shape[-1]
+        assert np.max(np.abs(energy - ref) / ref) < 1e-10
+        for t in range(x.shape[0]):
+            alone = dwt_analysis(x[t], bank, levels)
+            for got, want in zip([bands.lowband, *bands.details], [alone.lowband, *alone.details]):
+                assert np.max(np.abs(got[t] - want)) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # pyramid
 
