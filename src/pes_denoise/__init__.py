@@ -29,8 +29,10 @@ from .harness import (
 )
 from .projections import (
     BallProjection,
+    BandProjection,
     EpigraphProjection,
     l1_ball_max_size,
+    project_epigraph_bands,
     project_epigraph_l1,
     project_l1_ball,
     soft_threshold,
@@ -65,6 +67,7 @@ from .transforms import (
     get_filter_bank,
     lowpass_filter,
     pyramid_analysis,
+    pyramid_max_levels,
     pyramid_synthesis,
     qmf_highpass,
 )
@@ -74,6 +77,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BANK_NAMES",
     "BallProjection",
+    "BandProjection",
     "BandwidthEstimate",
     "DEFAULT_BANK",
     "DenoiseConfig",
@@ -109,9 +113,11 @@ __all__ = [
     "parse_csv",
     "pes_l1_pyramid",
     "pes_l1_wavelet",
+    "project_epigraph_bands",
     "project_epigraph_l1",
     "project_l1_ball",
     "pyramid_analysis",
+    "pyramid_max_levels",
     "pyramid_synthesis",
     "qmf_highpass",
     "run_experiment",

@@ -17,11 +17,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .projections import project_epigraph_rows, soft_threshold
+from .projections import project_epigraph_bands, soft_threshold
 from .spectrum import (
     DEFAULT_ALPHA,
     DEFAULT_MAX_LEVELS,
     DEFAULT_SMOOTH_WINDOW,
+    row_median,
     select_levels,
 )
 from .transforms import (
@@ -33,6 +34,7 @@ from .transforms import (
     feasible_levels,
     get_filter_bank,
     pyramid_analysis,
+    pyramid_max_levels,
     pyramid_synthesis,
 )
 
@@ -71,24 +73,23 @@ def estimate_sigma(finest_detail: np.ndarray) -> float | np.ndarray:
     band = np.asarray(finest_detail, dtype=float)
     if band.shape[-1] < 8:
         raise ValueError(f"need at least 8 coefficients, got {band.shape[-1]}")
-    sigma = np.median(np.abs(band), axis=-1) / 0.6745
+    sigma = row_median(np.abs(band)) / 0.6745
     return float(sigma) if band.ndim == 1 else sigma
 
 
-def _by_depth(x: np.ndarray, cfg: DenoiseConfig, run, taps: int | None) -> np.ndarray:
+def _by_depth(x: np.ndarray, cfg: DenoiseConfig, run, max_depth: int) -> np.ndarray:
     """run(rows, levels) over the rows of x, grouped by depth.
 
     The depth is cfg.levels when set.  Otherwise each row gets its own
-    from the spectrum, clamped for a DWT with taps-long filters to the
-    deepest one the signal length allows.
+    from the spectrum, clamped to max_depth, the deepest decomposition the
+    signal length allows.
     """
     rows = np.atleast_2d(np.asarray(x, dtype=float))
     if cfg.levels is not None:
         depths = np.full(rows.shape[0], cfg.levels)
     else:
         depths = select_levels(rows, cfg.alpha, cfg.smooth_window, cfg.max_levels)
-        if taps is not None:
-            depths = np.minimum(depths, feasible_levels(rows.shape[-1], cfg.max_levels, taps))
+        depths = np.minimum(depths, max_depth)
     groups = sorted(set(depths.tolist()))
     if len(groups) == 1:
         # One depth for every row: no copies in and out of the groups.
@@ -101,19 +102,27 @@ def _by_depth(x: np.ndarray, cfg: DenoiseConfig, run, taps: int | None) -> np.nd
 
 
 def _wavelet(x: np.ndarray, cfg: DenoiseConfig, shrink) -> np.ndarray:
-    """DWT, shrink(details, n, cfg) on the detail bands, inverse DWT."""
+    """DWT, shrink(details, lengths, n, cfg) on the detail bands, inverse DWT.
+
+    details is the (T, N) concatenation of the detail bands, finest
+    first, with lengths their band lengths; shrink returns its shrunk copy.
+    """
     bank = get_filter_bank(cfg.bank)
 
     def run(rows: np.ndarray, levels: int) -> np.ndarray:
         bands = dwt_analysis(rows, bank, levels)
-        shrunk = shrink(bands.details, rows.shape[-1], cfg)
-        return dwt_synthesis(replace(bands, details=shrunk), bank)
+        lengths = tuple(band.shape[-1] for band in bands.details)
+        shrunk = shrink(np.concatenate(bands.details, axis=-1), lengths, rows.shape[-1], cfg)
+        details = np.split(shrunk, np.cumsum(lengths)[:-1], axis=-1)
+        return dwt_synthesis(replace(bands, details=details), bank)
 
-    return _by_depth(x, cfg, run, bank.taps)
+    return _by_depth(x, cfg, run, feasible_levels(np.shape(x)[-1], cfg.max_levels, bank.taps))
 
 
-def _epigraph_shrink(details: list[np.ndarray], n: int, cfg: DenoiseConfig) -> list[np.ndarray]:
-    return [project_epigraph_rows(band, cfg.strict_paper_mode)[0] for band in details]
+def _epigraph_shrink(
+    details: np.ndarray, lengths: tuple[int, ...], n: int, cfg: DenoiseConfig
+) -> np.ndarray:
+    return project_epigraph_bands(details, lengths, cfg.strict_paper_mode).w_p
 
 
 def pes_l1_wavelet(x: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
@@ -122,16 +131,19 @@ def pes_l1_wavelet(x: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
 
 
 def pes_l1_pyramid(x: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
-    """Pyramid denoising: each stage's highband is shrunk by projection."""
+    """Pyramid denoising: each stage's highband is shrunk by projection.
+
+    An explicit cfg.levels must satisfy 2^(levels+1) <= n; the depth
+    chosen from the spectrum is clamped to that bound.
+    """
 
     def run(rows: np.ndarray, levels: int) -> np.ndarray:
         pyramid = pyramid_analysis(rows, default_cutoffs(levels), cfg.taps)
-        shrunk = [
-            project_epigraph_rows(x_hp, cfg.strict_paper_mode)[0] for _, x_hp in pyramid.stages
-        ]
-        return pyramid_synthesis(pyramid, shrunk)
+        highs = pyramid.highs.reshape(-1, rows.shape[-1])  # every stage's rows at once
+        shrunk = project_epigraph_bands(highs, None, cfg.strict_paper_mode).w_p
+        return pyramid_synthesis(pyramid, shrunk.reshape(pyramid.highs.shape))
 
-    return _by_depth(x, cfg, run, None)
+    return _by_depth(x, cfg, run, pyramid_max_levels(np.shape(x)[-1]))
 
 
 def universal_threshold(
@@ -141,12 +153,13 @@ def universal_threshold(
     return gamma * sigma * np.sqrt(2.0 * np.log(n) / n)
 
 
-def _universal_shrink(details: list[np.ndarray], n: int, cfg: DenoiseConfig) -> list[np.ndarray]:
+def _universal_shrink(
+    details: np.ndarray, lengths: tuple[int, ...], n: int, cfg: DenoiseConfig
+) -> np.ndarray:
     # Band coefficients carry the analysis 1/sqrt(N) scale; the MAD there
     # estimates sigma/sqrt(N), so scale back up to signal units.
-    sigma = estimate_sigma(details[0]) * np.sqrt(n)
-    theta = universal_threshold(sigma, n, cfg.gamma)[:, None]
-    return [soft_threshold(band, theta) for band in details]
+    sigma = estimate_sigma(details[:, : lengths[0]]) * np.sqrt(n)
+    return soft_threshold(details, universal_threshold(sigma, n, cfg.gamma)[:, None])
 
 
 def baseline_universal(x: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
@@ -154,9 +167,10 @@ def baseline_universal(x: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
     return _wavelet(x, cfg, _universal_shrink)
 
 
-def _three_sigma_shrink(details: list[np.ndarray], n: int, cfg: DenoiseConfig) -> list[np.ndarray]:
-    theta = 3.0 * estimate_sigma(details[0])[:, None]
-    return [soft_threshold(band, theta) for band in details]
+def _three_sigma_shrink(
+    details: np.ndarray, lengths: tuple[int, ...], n: int, cfg: DenoiseConfig
+) -> np.ndarray:
+    return soft_threshold(details, 3.0 * estimate_sigma(details[:, : lengths[0]])[:, None])
 
 
 def baseline_three_sigma(x: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:

@@ -72,11 +72,12 @@ class ExperimentReport:
     errors: tuple[str, ...] = field(default_factory=tuple)
 
 
-def _summarize(values: list[float]) -> tuple[float, float, int]:
+def _summarize(values) -> tuple[float, float, int]:
     """Mean and population stddev with +inf sentinels excluded."""
-    finite = [v for v in values if math.isfinite(v)]
+    values = np.asarray(values, dtype=float)
+    finite = values[np.isfinite(values)]
     excluded = len(values) - len(finite)
-    if not finite:
+    if not finite.size:
         return math.inf, 0.0, excluded
     return float(np.mean(finite)), float(np.std(finite)), excluded
 
@@ -95,10 +96,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
                         for trial in range(spec.trials)
                     ]
                 )
-                input_snrs = [snr_db(clean, row) for row in noisy]
-                outputs = [
-                    [snr_db(clean, row) for row in denoise(noisy, cfg)] for cfg in spec.methods
-                ]
+                input_snrs = snr_db(clean, noisy)
+                outputs = [snr_db(clean, denoise(noisy, cfg)) for cfg in spec.methods]
             except Exception as exc:  # noqa: BLE001 - cell aborts, error is reported
                 errors.append(f"{signal_name}/{fraction:g}: {type(exc).__name__}: {exc}")
                 continue

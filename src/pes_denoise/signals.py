@@ -8,7 +8,6 @@ bandwidth edge, which the level-selection heuristics key off.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,19 +154,24 @@ def add_gaussian_noise(v: np.ndarray, spec: NoiseSpec) -> np.ndarray:
     return v + sigma * rng.standard_normal(v.shape[0])
 
 
-def snr_db(reference: np.ndarray, estimate: np.ndarray) -> float:
-    """20*log10(||reference|| / ||reference - estimate||), +inf on exact match."""
+def snr_db(reference: np.ndarray, estimate: np.ndarray) -> float | np.ndarray:
+    """20*log10(||reference|| / ||reference - estimate||) along the last axis.
+
+    A float for 1-D input.  For a (T, n) estimate, one value per row; the
+    reference is then (T, n) or one (n,) signal shared by every row.  An
+    exact match gives +inf.
+    """
     reference = np.asarray(reference, dtype=float)
     estimate = np.asarray(estimate, dtype=float)
-    if reference.shape != estimate.shape:
+    if estimate.ndim not in (1, 2) or reference.shape not in (estimate.shape, estimate.shape[-1:]):
         raise ValueError(f"length mismatch: {reference.shape} vs {estimate.shape}")
-    ref_norm = float(np.linalg.norm(reference))
-    if ref_norm == 0.0:
+    ref_norm = np.linalg.norm(reference, axis=-1)
+    if np.any(ref_norm == 0.0):
         raise ValueError("reference signal is identically zero")
-    err_norm = float(np.linalg.norm(reference - estimate))
-    if err_norm == 0.0:
-        return math.inf
-    return 20.0 * math.log10(ref_norm / err_norm)
+    err_norm = np.linalg.norm(reference - estimate, axis=-1)
+    with np.errstate(divide="ignore"):
+        snr = 20.0 * np.log10(ref_norm / err_norm)
+    return float(snr) if estimate.ndim == 1 else snr
 
 
 def signal_to_csv(samples: np.ndarray) -> str:

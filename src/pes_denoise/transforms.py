@@ -12,7 +12,9 @@ across signal lengths while the public API stays scale-transparent.
 
 Pyramid side: each stage lowpass-filters the previous lowband with a
 zero-phase windowed-sinc FIR and defines the highband by subtraction,
-making every stage additive sample-for-sample.
+making every stage additive sample-for-sample.  Since the stages are a
+cascade of circular filters, every lowband comes from the input's one
+rfft times the product of the stage kernel spectra up to that stage.
 """
 
 from __future__ import annotations
@@ -209,20 +211,6 @@ def _kernel_spectrum(h: np.ndarray, n: int) -> np.ndarray:
     return np.fft.rfft(np.bincount((np.arange(h.shape[0]) - delay) % n, weights=h, minlength=n))
 
 
-@functools.lru_cache(maxsize=32)
-def _lowpass_spectrum(cutoff: float, taps: int, n: int) -> np.ndarray:
-    """Read-only kernel spectrum of design_lowpass(cutoff, taps) at length n."""
-    spectrum = _kernel_spectrum(design_lowpass(cutoff, taps), n)
-    spectrum.flags.writeable = False
-    return spectrum
-
-
-def _filter(x: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-    product = np.fft.rfft(x, axis=-1)
-    product *= spectrum
-    return np.fft.irfft(product, x.shape[-1], axis=-1)
-
-
 def lowpass_filter(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Apply an odd-length FIR circularly along the last axis with its group
     delay removed.
@@ -231,13 +219,21 @@ def lowpass_filter(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     product.
     """
     x = np.asarray(x, dtype=float)
-    return _filter(x, _kernel_spectrum(np.asarray(h, dtype=float), x.shape[-1]))
+    product = np.fft.rfft(x, axis=-1)
+    product *= _kernel_spectrum(np.asarray(h, dtype=float), x.shape[-1])
+    return np.fft.irfft(product, x.shape[-1], axis=-1)
 
 
 @dataclass(frozen=True)
 class PyramidSet:
-    stages: list[tuple[np.ndarray, np.ndarray]]  # (x_lp, x_hp) per stage
+    lows: np.ndarray  # (L, ..., n): stage k's lowband, finest first
+    highs: np.ndarray  # (L, ..., n): stage k's highband, its input minus lows[k]
     cutoffs: list[float] = field(default_factory=list)
+
+    @property
+    def stages(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(x_lp, x_hp) per stage, as views of lows and highs."""
+        return list(zip(self.lows, self.highs))
 
 
 def default_cutoffs(levels: int) -> list[float]:
@@ -245,31 +241,66 @@ def default_cutoffs(levels: int) -> list[float]:
     return [np.pi / (1 << k) for k in range(1, levels + 1)]
 
 
+def pyramid_max_levels(n: int) -> int:
+    """The deepest octave pyramid at length n: the largest L with
+    2^(L+1) <= n, so that the last cutoff pi/2^L spans a DFT bin."""
+    return n.bit_length() - 2
+
+
+@functools.lru_cache(maxsize=64)
+def _cascade_spectra(cutoffs: tuple[float, ...], taps: int, n: int) -> tuple[np.ndarray, ...]:
+    """Read-only spectra of the stage cascades: entry k is the product of
+    the design_lowpass(cutoff, taps) kernel spectra of cutoffs[0..k], since
+    stage k filters stage k-1's lowband.  Pyramids whose cutoffs share a
+    prefix share its arrays."""
+    spectrum = _kernel_spectrum(design_lowpass(cutoffs[-1], taps), n)
+    shallower = _cascade_spectra(cutoffs[:-1], taps, n) if len(cutoffs) > 1 else ()
+    if shallower:
+        spectrum *= shallower[-1]
+    spectrum.flags.writeable = False
+    return (*shallower, spectrum)
+
+
 def pyramid_analysis(x: np.ndarray, cutoffs: list[float], taps: int = 129) -> PyramidSet:
+    """Lowbands of every stage from one rfft and one batched irfft, and
+    highbands by subtraction from the previous stage's lowband."""
     x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    if not cutoffs:
+        raise ValueError("need at least one cutoff")
     if any(c2 >= c1 for c1, c2 in zip(cutoffs, cutoffs[1:])):
         raise ValueError(f"cutoffs must be strictly decreasing, got {cutoffs}")
-    stages: list[tuple[np.ndarray, np.ndarray]] = []
-    current = x
-    for cutoff in cutoffs:
-        x_lp = _filter(current, _lowpass_spectrum(cutoff, taps, x.shape[-1]))
-        x_hp = current - x_lp
-        stages.append((x_lp, x_hp))
-        current = x_lp
-    return PyramidSet(stages=stages, cutoffs=list(cutoffs))
+    if cutoffs[-1] < 2.0 * np.pi / n:
+        raise ValueError(
+            f"cutoff {cutoffs[-1]:.6g} is below the DFT bin spacing 2*pi/{n}: "
+            f"an octave pyramid at length {n} has at most {pyramid_max_levels(n)} stages"
+        )
+    spectrum = np.fft.rfft(x, axis=-1)
+    product = np.empty((len(cutoffs), *spectrum.shape), dtype=spectrum.dtype)
+    for cascade, out in zip(_cascade_spectra(tuple(cutoffs), taps, n), product):
+        np.multiply(spectrum, cascade, out=out)
+    del spectrum  # not kept alive beside the irfft's buffers
+    lows = np.fft.irfft(product, n, axis=-1)
+    highs = np.empty_like(lows)
+    np.subtract(x, lows[0], out=highs[0])
+    np.subtract(lows[:-1], lows[1:], out=highs[1:])
+    return PyramidSet(lows=lows, highs=highs, cutoffs=list(cutoffs))
 
 
-def pyramid_synthesis(pyramid: PyramidSet, denoised_highs: list[np.ndarray]) -> np.ndarray:
+def pyramid_synthesis(
+    pyramid: PyramidSet, denoised_highs: np.ndarray | list[np.ndarray]
+) -> np.ndarray:
     """Deepest lowband plus the high bands, summed coarsest first.
 
-    With the original highs this walks the defining subtractions back up
-    stage by stage and recovers the input exactly.
+    denoised_highs holds one high band per stage, finest first, as a list
+    or an (L, ..., n) array.  With the original highs this walks the
+    defining subtractions back up stage by stage and recovers the input
+    exactly.
     """
-    if len(denoised_highs) != len(pyramid.stages):
-        raise ValueError(
-            f"need one high band per stage: got {len(denoised_highs)} for {len(pyramid.stages)} stages"
-        )
-    y = pyramid.stages[-1][0].copy()
+    stages = len(pyramid.lows)
+    if len(denoised_highs) != stages:
+        raise ValueError(f"need one high band per stage: got {len(denoised_highs)} for {stages} stages")
+    y = pyramid.lows[-1].copy()
     for high in reversed(denoised_highs):
-        y = y + high
+        y += high
     return y

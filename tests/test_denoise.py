@@ -252,6 +252,24 @@ def test_shortest_signal_gets_a_feasible_depth(method):
         denoise(y, DenoiseConfig(method=method, levels=4))
 
 
+def test_explicit_pyramid_depth_must_span_a_dft_bin():
+    # 2^(L+1) <= n: at n=1024 an octave pyramid has at most 9 stages.
+    y = add_gaussian_noise(generate_test_signal("heavy-sine", 1024), NoiseSpec(0.2, seed=10))
+    assert denoise(y, DenoiseConfig(method="pes-pyramid", levels=9)).shape == (1024,)
+    with pytest.raises(ValueError, match="at most 9 stages"):
+        denoise(y, DenoiseConfig(method="pes-pyramid", levels=12))
+
+
+def test_automatic_pyramid_depth_is_clamped():
+    # At n=16 the spectrum picks 6 levels; an octave pyramid fits at most 3.
+    y = add_gaussian_noise(generate_test_signal("doppler", 16), NoiseSpec(0.2, seed=9))
+    assert select_levels(y) == 6
+    out = denoise(y, DenoiseConfig(method="pes-pyramid"))
+    assert np.array_equal(out, denoise(y, DenoiseConfig(method="pes-pyramid", levels=3)))
+    with pytest.raises(ValueError, match="at most 3 stages"):
+        denoise(y, DenoiseConfig(method="pes-pyramid", levels=4))
+
+
 # ---------------------------------------------------------------------------
 # a (T, n) batch is T independent signals
 

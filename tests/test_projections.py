@@ -8,12 +8,14 @@ fast path is cross-checked against a bisection on mu solving
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import bisect
 
 from pes_denoise.projections import (
     l1_ball_max_size,
     project_epigraph_l1,
-    project_epigraph_rows,
+    project_epigraph_bands,
     project_l1_ball,
     soft_threshold,
 )
@@ -267,11 +269,84 @@ def test_epigraph_rows_are_independent():
     w[3, ::3] = 0.0
     w[4] = rng.integers(-2, 3, size=40)  # zeros and ties
     for strict in (False, True):
-        w_p, z_p, d, fast_path = project_epigraph_rows(w, strict)
+        rows = project_epigraph_bands(w, None, strict)
+        w_p, d, fast_path = rows.w_p, rows.d[:, 0], rows.fast_path[:, 0]
         assert fast_path[2] and not fast_path[0]
-        assert fast_path[1] and np.array_equal(w_p[1], np.zeros(40)) and z_p[1] == 0.0
+        assert fast_path[1] and np.array_equal(w_p[1], np.zeros(40)) and rows.threshold[1, 0] == 0.0
         for t in (0, 2, 3, 4, 5):
             one = project_epigraph_l1(w[t], strict_paper_mode=strict)
             assert np.max(np.abs(w_p[t] - one.w_p)) < 1e-12
-            assert abs(z_p[t] - one.z_p) < 1e-12 and abs(d[t] - one.d) < 1e-12
+            assert abs(d[t] - one.d) < 1e-12
             assert fast_path[t] == one.fast_path
+            if one.fast_path:  # z_p is t there; elsewhere it is the l1 mass of w_p
+                assert abs(rows.threshold[t, 0] - one.z_p) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the segmented kernel: every (row, band) of a (T, N) array in one call
+
+
+def _band(rng: np.random.Generator, kind: str, k: int) -> np.ndarray:
+    if kind == "normal":
+        return rng.normal(size=k) * rng.uniform(0.1, 10.0)
+    if kind == "ties":
+        return rng.integers(-3, 4, size=k).astype(float)  # zeros and ties
+    if kind == "zeros":
+        band = rng.normal(size=k)
+        band[rng.uniform(size=k) < 0.5] = 0.0
+        return band
+    if kind == "no-flip":
+        return rng.choice([-1.0, 1.0], k) * (1.0 + (0.1 / k) * rng.uniform(-1.0, 1.0, k))
+    return np.zeros(k)
+
+
+# A band of 2100 or 4500 entries makes a block of 7 or 3 rows, so larger
+# row counts cross block boundaries.
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lengths=st.lists(st.integers(1, 40), min_size=1, max_size=5),
+    long_band=st.sampled_from([0, 2100, 4500]),
+    rows=st.integers(1, 12),
+    strict=st.booleans(),
+)
+@example(seed=3, lengths=[3, 1], long_band=4500, rows=12, strict=False)
+@example(seed=4, lengths=[1, 2], long_band=2100, rows=8, strict=True)
+def test_segmented_kernel_equals_band_by_band(seed, lengths, long_band, rows, strict):
+    rng = np.random.default_rng(seed)
+    if long_band:
+        lengths = [*lengths, long_band]
+        rng.shuffle(lengths)
+    kinds = ("normal", "ties", "zeros", "no-flip", "all-zero")
+    w = np.stack(
+        [np.concatenate([_band(rng, rng.choice(kinds), k) for k in lengths]) for _ in range(rows)]
+    )
+    got = project_epigraph_bands(w, lengths, strict)
+    assert got.w_p.shape == w.shape
+    assert got.d.shape == got.threshold.shape == got.fast_path.shape == (rows, len(lengths))
+    ends = np.cumsum(lengths)
+    for t in range(rows):
+        for b, (start, end) in enumerate(zip(ends - lengths, ends)):
+            band = w[t, start:end]
+            if not band.any():
+                assert np.array_equal(got.w_p[t, start:end], band)
+                assert got.fast_path[t, b] and got.d[t, b] == 0.0 and got.threshold[t, b] == 0.0
+                continue
+            one = project_epigraph_l1(band, strict_paper_mode=strict)
+            assert np.max(np.abs(got.w_p[t, start:end] - one.w_p)) < 1e-12
+            assert abs(got.d[t, b] - one.d) < 1e-12
+            assert got.fast_path[t, b] == one.fast_path
+            # The reported threshold is the one the output was shrunk by.
+            assert np.max(np.abs(soft_threshold(band, got.threshold[t, b]) - one.w_p)) < 1e-12
+            if one.fast_path:
+                assert abs(got.threshold[t, b] - one.z_p) < 1e-12
+
+
+def test_segmented_kernel_validates_its_layout():
+    w = np.ones((2, 6))
+    with pytest.raises(ValueError, match="tile"):
+        project_epigraph_bands(w, (4, 1))
+    with pytest.raises(ValueError, match="tile"):
+        project_epigraph_bands(w, (6, 0))
+    with pytest.raises(ValueError, match="expected a"):
+        project_epigraph_bands(np.ones(6))

@@ -21,6 +21,7 @@ from pes_denoise.transforms import (
     get_filter_bank,
     lowpass_filter,
     pyramid_analysis,
+    pyramid_max_levels,
     pyramid_synthesis,
     qmf_highpass,
 )
@@ -254,6 +255,39 @@ def test_pyramid_validation():
         pyramid_analysis(x, [np.pi / 4, np.pi / 2], taps=33)  # not decreasing
     with pytest.raises(ValueError):
         pyramid_synthesis(pyramid_analysis(x, default_cutoffs(2), taps=33), [np.zeros(64)])
+
+
+@pytest.mark.parametrize("n", [16, 48, 256, 1024])
+def test_one_fft_pyramid_equals_stage_cascade(n):
+    # Every lowband comes from one rfft times a product of kernel spectra;
+    # the reference filters each stage's lowband again, stage by stage.
+    rng = np.random.default_rng(36 + n)
+    for x in (rng.normal(size=n), 10.0 + rng.normal(size=(3, n))):
+        for taps in (33, 129):
+            for levels in sorted({1, 3, pyramid_max_levels(n)}):
+                cutoffs = default_cutoffs(levels)
+                pyramid = pyramid_analysis(x, cutoffs, taps)
+                assert pyramid.lows.shape == pyramid.highs.shape == (levels, *x.shape)
+                current = x
+                for cutoff, (x_lp, x_hp) in zip(cutoffs, pyramid.stages):
+                    want = lowpass_filter(current, design_lowpass(cutoff, taps))
+                    assert np.max(np.abs(x_lp - want)) < 1e-12
+                    assert np.max(np.abs(x_hp - (current - want))) < 1e-12
+                    current = want
+
+
+def test_pyramid_depth_must_span_a_dft_bin():
+    # The last cutoff pi/2^L must be at least the bin spacing 2*pi/n.
+    assert pyramid_max_levels(1024) == 9
+    for n in (16, 17, 31, 32, 255, 256, 1000, 1024):
+        levels = pyramid_max_levels(n)
+        assert 2 ** (levels + 1) <= n < 2 ** (levels + 2)
+        x = np.ones(n)
+        assert len(pyramid_analysis(x, default_cutoffs(levels), taps=33).stages) == levels
+        with pytest.raises(ValueError, match="DFT bin spacing"):
+            pyramid_analysis(x, default_cutoffs(levels + 1), taps=33)
+    with pytest.raises(ValueError, match="at least one cutoff"):
+        pyramid_analysis(np.ones(64), [], taps=33)
 
 
 def test_default_cutoffs_are_octaves():
