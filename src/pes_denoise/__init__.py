@@ -9,12 +9,8 @@ with a CLI (``pes-denoise``).
 
 from .denoise import (
     DenoiseConfig,
-    baseline_three_sigma,
-    baseline_universal,
     denoise,
     estimate_sigma,
-    pes_l1_pyramid,
-    pes_l1_wavelet,
     universal_threshold,
 )
 from .harness import (
@@ -31,7 +27,6 @@ from .projections import (
     BallProjection,
     BandProjection,
     EpigraphProjection,
-    l1_ball_max_size,
     project_epigraph_bands,
     project_epigraph_l1,
     project_l1_ball,
@@ -43,7 +38,6 @@ from .signals import (
     add_gaussian_noise,
     generate_test_signal,
     noise_sigma,
-    signal_from_csv,
     signal_to_csv,
     snr_db,
 )
@@ -65,7 +59,6 @@ from .transforms import (
     dwt_analysis,
     dwt_synthesis,
     get_filter_bank,
-    lowpass_filter,
     pyramid_analysis,
     pyramid_max_levels,
     pyramid_synthesis,
@@ -91,8 +84,6 @@ __all__ = [
     "SIGNAL_NAMES",
     "SubbandSet",
     "add_gaussian_noise",
-    "baseline_three_sigma",
-    "baseline_universal",
     "default_cutoffs",
     "denoise",
     "design_lowpass",
@@ -105,14 +96,10 @@ __all__ = [
     "generate_test_signal",
     "get_filter_bank",
     "grand_means",
-    "l1_ball_max_size",
     "levels_for_bandwidth",
-    "lowpass_filter",
     "magnitude_spectrum",
     "noise_sigma",
     "parse_csv",
-    "pes_l1_pyramid",
-    "pes_l1_wavelet",
     "project_epigraph_bands",
     "project_epigraph_l1",
     "project_l1_ball",
@@ -122,7 +109,6 @@ __all__ = [
     "qmf_highpass",
     "run_experiment",
     "select_levels",
-    "signal_from_csv",
     "signal_to_csv",
     "snr_db",
     "soft_threshold",

@@ -16,7 +16,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .denoise import DEFAULT_TAPS, METHODS, DenoiseConfig, denoise
+from .denoise import METHODS, DenoiseConfig, denoise
 from .harness import (
     DEFAULT_FRACTIONS,
     DEFAULT_SIGNALS,
@@ -34,14 +34,7 @@ from .signals import (
     signal_to_csv,
     snr_db,
 )
-from .spectrum import (
-    DEFAULT_ALPHA,
-    DEFAULT_MAX_LEVELS,
-    DEFAULT_SMOOTH_WINDOW,
-    estimate_bandwidth,
-    magnitude_spectrum,
-)
-from .transforms import DEFAULT_BANK
+from .spectrum import estimate_bandwidth, magnitude_spectrum
 
 
 def _str2bool(value: str) -> bool:
@@ -94,26 +87,23 @@ def _load_config_file(path: str) -> dict:
 
 
 def _merge(ns: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset flags from the config file, then hard defaults."""
+    """Fill unset flags from the config file, then the CLI's own defaults.
+
+    Library options left unset stay None, so the library's defaults apply.
+    """
     file_values = _load_config_file(ns.config) if ns.config else {}
     for dest, value in file_values.items():
         if getattr(ns, dest, None) is None:
             setattr(ns, dest, value)
-    defaults = {
-        "seed": 0,
-        "n": 1024,
-        "bank": DEFAULT_BANK,
-        "gamma": 1.0,
-        "alpha": DEFAULT_ALPHA,
-        "taps": DEFAULT_TAPS,
-        "smooth_window": DEFAULT_SMOOTH_WINDOW,
-        "strict_paper": False,
-        "trials": 300,
-    }
-    for dest, value in defaults.items():
+    for dest, value in (("seed", 0), ("n", 1024), ("trials", 300)):
         if getattr(ns, dest, None) is None:
             setattr(ns, dest, value)
     return ns
+
+
+def _given(ns: argparse.Namespace, *dests: str) -> dict:
+    """The values of dests that a flag or the config file set."""
+    return {dest: getattr(ns, dest) for dest in dests if getattr(ns, dest, None) is not None}
 
 
 def _require(ns: argparse.Namespace, *dests: str) -> None:
@@ -140,16 +130,10 @@ def _write_or_print(out_dir: str | None, filename: str, content: str) -> None:
 
 
 def _denoise_config(ns: argparse.Namespace, method: str) -> DenoiseConfig:
-    return DenoiseConfig(
-        method=method,
-        bank=ns.bank,
-        levels=ns.levels,
-        gamma=ns.gamma,
-        taps=ns.taps,
-        strict_paper_mode=ns.strict_paper,
-        alpha=ns.alpha,
-        smooth_window=ns.smooth_window,
-    )
+    given = _given(ns, "bank", "levels", "gamma", "taps", "alpha", "smooth_window")
+    if ns.strict_paper is not None:
+        given["strict_paper_mode"] = ns.strict_paper
+    return DenoiseConfig(method=method, **given)
 
 
 def _cmd_generate(ns: argparse.Namespace) -> int:
@@ -188,7 +172,7 @@ def _cmd_spectrum(ns: argparse.Namespace) -> int:
     if ns.noise is not None:
         x = add_gaussian_noise(x, NoiseSpec(_single(ns.noise, "noise"), ns.seed))
     mag = magnitude_spectrum(x)
-    estimate = estimate_bandwidth(mag, ns.alpha, ns.smooth_window, DEFAULT_MAX_LEVELS)
+    estimate = estimate_bandwidth(mag, **_given(ns, "alpha", "smooth_window"))
     omegas = np.arange(mag.shape[0]) * (2 * math.pi / ns.n)
     _write_or_print(ns.out, f"{name}_spectrum.csv", emit_spectrum_csv(omegas, mag))
     sys.stderr.write(
@@ -239,22 +223,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Each verb takes only the flags it reads.  Config-file keys are the
+    # same for every verb, so one file can serve them all.
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="key=value file; explicit flags win")
         p.add_argument("--out", help="output directory (default: CSV to stdout)")
         p.add_argument("--n", type=int, help="signal length (default 1024)")
         p.add_argument("--signal", action="append", choices=SIGNAL_NAMES, help="signal name")
+
+    def add_spectrum_opts(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--noise", action="append", type=float, help="noise fraction of peak")
         p.add_argument("--seed", type=int, help="RNG seed (default 0)")
+        p.add_argument("--alpha", type=float, help="bandwidth floor multiplier (default 3)")
+        p.add_argument("--smooth-window", type=int, help="spectrum smoothing bins (default 9)")
 
     def add_method_opts(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--noise", action="append", type=float, help="noise fraction of peak")
+        add_spectrum_opts(p)
         p.add_argument("--method", action="append", choices=METHODS, help="denoising method")
         p.add_argument("--levels", type=int, help="decomposition depth (default: from spectrum)")
         p.add_argument("--bank", help="wavelet filter bank (default db4)")
         p.add_argument("--gamma", type=float, help="universal-threshold scale (default 1)")
-        p.add_argument("--alpha", type=float, help="bandwidth floor multiplier (default 3)")
         p.add_argument("--taps", type=int, help="pyramid FIR length, odd (default 129)")
-        p.add_argument("--smooth-window", type=int, help="spectrum smoothing bins (default 9)")
         p.add_argument(
             "--strict-paper",
             dest="strict_paper",
@@ -272,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spec = sub.add_parser("spectrum", help="emit the magnitude spectrum and level choice")
     add_common(p_spec)
-    add_method_opts(p_spec)
+    add_spectrum_opts(p_spec)
 
     p_exp = sub.add_parser("experiment", help="run the Monte-Carlo SNR table")
     add_common(p_exp)

@@ -52,7 +52,6 @@ class DenoiseConfig:
     strict_paper_mode: bool = False
     alpha: float = DEFAULT_ALPHA
     smooth_window: int = DEFAULT_SMOOTH_WINDOW
-    max_levels: int = DEFAULT_MAX_LEVELS
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
@@ -63,6 +62,14 @@ class DenoiseConfig:
             raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
         if self.taps < 3 or self.taps % 2 == 0:
             raise ValueError(f"taps must be an odd integer >= 3, got {self.taps}")
+        # Checked here too, since an explicit depth never runs the spectrum.
+        if not self.alpha > 1.0:
+            raise ValueError(f"alpha must exceed 1, got {self.alpha}")
+        window = self.smooth_window
+        if not isinstance(window, (int, np.integer)) or window < 1 or window % 2 == 0:
+            raise ValueError(
+                f"smooth window must be a positive odd integer, got {window}"
+            )
 
 
 def estimate_sigma(finest_detail: np.ndarray) -> float | np.ndarray:
@@ -88,7 +95,7 @@ def _by_depth(x: np.ndarray, cfg: DenoiseConfig, run, max_depth: int) -> np.ndar
     if cfg.levels is not None:
         depths = np.full(rows.shape[0], cfg.levels)
     else:
-        depths = select_levels(rows, cfg.alpha, cfg.smooth_window, cfg.max_levels)
+        depths = select_levels(rows, cfg.alpha, cfg.smooth_window, DEFAULT_MAX_LEVELS)
         depths = np.minimum(depths, max_depth)
     groups = sorted(set(depths.tolist()))
     if len(groups) == 1:
@@ -116,26 +123,11 @@ def _wavelet(x: np.ndarray, cfg: DenoiseConfig, shrink) -> np.ndarray:
         details = np.split(shrunk, np.cumsum(lengths)[:-1], axis=-1)
         return dwt_synthesis(replace(bands, details=details), bank)
 
-    return _by_depth(x, cfg, run, feasible_levels(np.shape(x)[-1], cfg.max_levels, bank.taps))
+    return _by_depth(x, cfg, run, feasible_levels(np.shape(x)[-1], DEFAULT_MAX_LEVELS, bank.taps))
 
 
-def _epigraph_shrink(
-    details: np.ndarray, lengths: tuple[int, ...], n: int, cfg: DenoiseConfig
-) -> np.ndarray:
-    return project_epigraph_bands(details, lengths, cfg.strict_paper_mode).w_p
-
-
-def pes_l1_wavelet(x: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
-    """Wavelet denoising with per-band thresholds from epigraph projections."""
-    return _wavelet(x, cfg, _epigraph_shrink)
-
-
-def pes_l1_pyramid(x: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
-    """Pyramid denoising: each stage's highband is shrunk by projection.
-
-    An explicit cfg.levels must satisfy 2^(levels+1) <= n; the depth
-    chosen from the spectrum is clamped to that bound.
-    """
+def _pyramid(x: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
+    """Pyramid analysis, every stage's highband shrunk by projection, synthesis."""
 
     def run(rows: np.ndarray, levels: int) -> np.ndarray:
         pyramid = pyramid_analysis(rows, default_cutoffs(levels), cfg.taps)
@@ -153,36 +145,35 @@ def universal_threshold(
     return gamma * sigma * np.sqrt(2.0 * np.log(n) / n)
 
 
+def _epigraph_shrink(
+    details: np.ndarray, lengths: tuple[int, ...], n: int, cfg: DenoiseConfig
+) -> np.ndarray:
+    """Each band's own threshold, from its epigraph projection."""
+    return project_epigraph_bands(details, lengths, cfg.strict_paper_mode).w_p
+
+
 def _universal_shrink(
     details: np.ndarray, lengths: tuple[int, ...], n: int, cfg: DenoiseConfig
 ) -> np.ndarray:
+    """One universal threshold across all detail bands (needs sigma-hat)."""
     # Band coefficients carry the analysis 1/sqrt(N) scale; the MAD there
     # estimates sigma/sqrt(N), so scale back up to signal units.
     sigma = estimate_sigma(details[:, : lengths[0]]) * np.sqrt(n)
     return soft_threshold(details, universal_threshold(sigma, n, cfg.gamma)[:, None])
 
 
-def baseline_universal(x: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
-    """One universal threshold across all detail bands (needs sigma-hat)."""
-    return _wavelet(x, cfg, _universal_shrink)
-
-
 def _three_sigma_shrink(
     details: np.ndarray, lengths: tuple[int, ...], n: int, cfg: DenoiseConfig
 ) -> np.ndarray:
+    """Soft threshold 3*sigma-hat in every band, sigma-hat from the finest."""
     return soft_threshold(details, 3.0 * estimate_sigma(details[:, : lengths[0]])[:, None])
 
 
-def baseline_three_sigma(x: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
-    """Per-band soft threshold 3*sigma-hat, sigma-hat from the finest band."""
-    return _wavelet(x, cfg, _three_sigma_shrink)
-
-
-_DISPATCH = {
-    "pes-wavelet": pes_l1_wavelet,
-    "pes-pyramid": pes_l1_pyramid,
-    "universal": baseline_universal,
-    "three-sigma": baseline_three_sigma,
+# The wavelet-domain methods: one shrink rule each over the same DWT.
+_SHRINK = {
+    "pes-wavelet": _epigraph_shrink,
+    "universal": _universal_shrink,
+    "three-sigma": _three_sigma_shrink,
 }
 
 
@@ -193,6 +184,11 @@ def denoise(x: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
     n >= 16 and every sample finite.  Each row is denoised on its own,
     with its own depth and (for the baselines) its own sigma-hat; the
     output has x's shape.
+
+    The depth is cfg.levels when set, else chosen per row from the
+    spectrum and clamped to the deepest one the method allows at length
+    n.  For pes-pyramid an explicit cfg.levels must satisfy
+    2^(levels+1) <= n, the bound the automatic depth is clamped to.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2):
@@ -203,4 +199,6 @@ def denoise(x: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
         raise ValueError("cannot denoise a batch with no rows")
     if not np.isfinite(x).all():
         raise ValueError("input contains NaN or infinite samples")
-    return _DISPATCH[cfg.method](x, cfg)
+    if cfg.method == "pes-pyramid":
+        return _pyramid(x, cfg)
+    return _wavelet(x, cfg, _SHRINK[cfg.method])

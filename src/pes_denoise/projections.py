@@ -32,15 +32,10 @@ def soft_threshold(w: np.ndarray, theta: float | np.ndarray) -> np.ndarray:
     theta is a scalar or broadcasts against w, e.g. one threshold per row
     of a (T, K) array as a (T, 1) column.
     """
-    if np.any(np.asarray(theta) < 0):
+    if not np.all(np.asarray(theta) >= 0):
         raise ValueError(f"threshold must be nonnegative, got {theta}")
     w = np.asarray(w, dtype=float)
     return np.sign(w) * np.maximum(np.abs(w) - theta, 0.0)
-
-
-def l1_ball_max_size(w: np.ndarray) -> float:
-    """The band's own l1 mass; projections are informative below it."""
-    return float(np.sum(np.abs(w)))
 
 
 @dataclass(frozen=True)
@@ -204,7 +199,7 @@ def project_l1_ball(w: np.ndarray, d: float) -> BallProjection:
     the threshold comes from the sorted rule (see :func:`_project`), then
     w_p = soft(w, theta).
     """
-    if d < 0:
+    if not d >= 0:
         raise ValueError(f"ball size must be nonnegative, got {d}")
     w = _as_band(w)
     mag = np.abs(w)

@@ -177,7 +177,3 @@ def snr_db(reference: np.ndarray, estimate: np.ndarray) -> float | np.ndarray:
 def signal_to_csv(samples: np.ndarray) -> str:
     """One sample per line, full round-trip precision."""
     return "".join(repr(float(s)) + "\n" for s in samples)
-
-
-def signal_from_csv(text: str) -> np.ndarray:
-    return np.array([float(line) for line in text.splitlines() if line.strip()])

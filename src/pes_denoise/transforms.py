@@ -211,19 +211,6 @@ def _kernel_spectrum(h: np.ndarray, n: int) -> np.ndarray:
     return np.fft.rfft(np.bincount((np.arange(h.shape[0]) - delay) % n, weights=h, minlength=n))
 
 
-def lowpass_filter(x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Apply an odd-length FIR circularly along the last axis with its group
-    delay removed.
-
-    y[k] = sum_j h[j] * x[(k + delay - j) mod n], computed as one rfft
-    product.
-    """
-    x = np.asarray(x, dtype=float)
-    product = np.fft.rfft(x, axis=-1)
-    product *= _kernel_spectrum(np.asarray(h, dtype=float), x.shape[-1])
-    return np.fft.irfft(product, x.shape[-1], axis=-1)
-
-
 @dataclass(frozen=True)
 class PyramidSet:
     lows: np.ndarray  # (L, ..., n): stage k's lowband, finest first

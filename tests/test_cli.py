@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from pes_denoise.cli import main
 
 
@@ -99,6 +101,58 @@ def test_spectrum_verb(tmp_path, capsys):
     lines = (tmp_path / "s" / "piece-regular_spectrum.csv").read_text().splitlines()
     assert lines[0] == "omega,magnitude"
     assert len(lines) == 258  # 512/2 + 1 bins + header
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ["--method", "pes-wavelet"],
+        ["--levels", "3"],
+        ["--bank", "haar"],
+        ["--gamma", "2"],
+        ["--taps", "4"],
+        ["--strict-paper"],
+    ],
+    ids=lambda flag: flag[0],
+)
+def test_spectrum_refuses_flags_it_does_not_read(flag, capsys):
+    assert run(["spectrum", "--signal", "blocks", "--n", "256"] + flag) == 2
+
+
+def test_generate_refuses_seed(capsys):
+    assert run(["generate", "--signal", "blocks", "--n", "64", "--seed", "3"]) == 2
+
+
+def test_one_config_file_serves_every_verb(tmp_path, capsys):
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("seed=3\nmethod=universal\ntaps=65\nbank=haar\nnoise=0.2\ntrials=2\n")
+    for verb in ("generate", "spectrum", "denoise", "experiment"):
+        argv = [verb, "--signal", "blocks", "--n", "256", "--config", str(cfg)]
+        assert run(argv) == 0, verb
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["denoise", "--noise", "0.2", "--smooth-window", "4", "--levels", "2"],
+        ["denoise", "--noise", "0.2", "--alpha", "0.5", "--levels", "3"],
+        ["spectrum", "--alpha", "1"],
+        ["spectrum", "--smooth-window", "4"],
+    ],
+    ids=["denoise-window", "denoise-alpha", "spectrum-alpha", "spectrum-window"],
+)
+def test_bad_spectrum_options_are_config_errors(argv, capsys):
+    assert run(argv + ["--signal", "blocks", "--n", "256"]) == 2
+
+
+def test_unset_options_take_the_library_defaults(capsys):
+    base = ["denoise", "--signal", "bumps", "--noise", "0.2", "--n", "256"]
+    assert run(base) == 0
+    implicit = capsys.readouterr().out
+    explicit = ["--bank", "db4", "--gamma", "1", "--taps", "129", "--alpha", "3",
+                "--smooth-window", "9", "--method", "pes-wavelet"]
+    assert run(base + explicit) == 0
+    assert capsys.readouterr().out == implicit
 
 
 def test_experiment_deterministic_and_json(tmp_path, capsys):

@@ -11,12 +11,8 @@ from hypothesis import strategies as st
 from pes_denoise.denoise import (
     METHODS,
     DenoiseConfig,
-    baseline_three_sigma,
-    baseline_universal,
     denoise,
     estimate_sigma,
-    pes_l1_pyramid,
-    pes_l1_wavelet,
     universal_threshold,
 )
 from pes_denoise.signals import (
@@ -102,17 +98,18 @@ def test_constant_signal_is_fixed_point_of_every_method():
 
 
 def test_pes_wavelet_composes_haar_and_epigraph_projection():
-    # analysis of [2*sqrt2, 0, 2*sqrt2, 0] at one Haar level gives detail
-    # band [1, 1]; its epigraph projection is [1/3, 1/3]; the denoiser
-    # must therefore match a hand-assembled synthesis of that band.
+    # analysis of [2*sqrt2, 0] * 8 at one Haar level (scaled by 1/sqrt(16))
+    # gives a detail band of eight 0.5s; its epigraph projection shrinks
+    # each by t = 4/9 to 0.5/9; the denoiser must therefore match a
+    # hand-assembled synthesis of that band.
     from dataclasses import replace
 
     bank = get_filter_bank("haar")
-    x = np.array([2.0 * math.sqrt(2.0), 0.0, 2.0 * math.sqrt(2.0), 0.0])
+    x = np.tile([2.0 * math.sqrt(2.0), 0.0], 8)
     bands = dwt_analysis(x, bank, 1)
-    assert np.max(np.abs(bands.details[0] - 1.0)) < 1e-12
-    expected = dwt_synthesis(replace(bands, details=[np.array([1.0, 1.0]) / 3.0]), bank)
-    got = pes_l1_wavelet(x, DenoiseConfig(method="pes-wavelet", bank="haar", levels=1))
+    assert np.max(np.abs(bands.details[0] - 0.5)) < 1e-12
+    expected = dwt_synthesis(replace(bands, details=[np.full(8, 0.5 / 9.0)]), bank)
+    got = denoise(x, DenoiseConfig(method="pes-wavelet", bank="haar", levels=1))
     assert np.max(np.abs(got - expected)) < 1e-12
 
 
@@ -169,18 +166,6 @@ def test_pes_paths_never_touch_sigma_estimation(monkeypatch):
         denoise(y, DenoiseConfig(method="three-sigma", levels=3))
 
 
-def test_direct_entry_points_match_dispatch():
-    y = add_gaussian_noise(generate_test_signal("bumps", 512), NoiseSpec(0.2, seed=6))
-    cfg_w = DenoiseConfig(method="pes-wavelet", levels=3)
-    assert np.array_equal(pes_l1_wavelet(y, cfg_w), denoise(y, cfg_w))
-    cfg_p = DenoiseConfig(method="pes-pyramid", levels=3)
-    assert np.array_equal(pes_l1_pyramid(y, cfg_p), denoise(y, cfg_p))
-    cfg_u = DenoiseConfig(method="universal", levels=3)
-    assert np.array_equal(baseline_universal(y, cfg_u), denoise(y, cfg_u))
-    cfg_t = DenoiseConfig(method="three-sigma", levels=3)
-    assert np.array_equal(baseline_three_sigma(y, cfg_t), denoise(y, cfg_t))
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         DenoiseConfig(method="wiener")
@@ -192,6 +177,14 @@ def test_config_validation():
         DenoiseConfig(taps=128)
     with pytest.raises(ValueError):
         denoise(np.array([]), DenoiseConfig())
+    # An explicit depth never runs the spectrum, so the config itself
+    # refuses the spectrum options the spectrum would refuse.
+    for alpha in (0.5, 1.0, np.nan):
+        with pytest.raises(ValueError, match="alpha must exceed 1"):
+            DenoiseConfig(levels=3, alpha=alpha)
+    for window in (4, 0, -3, 2.5, 9.0):
+        with pytest.raises(ValueError, match="positive odd integer"):
+            DenoiseConfig(levels=2, smooth_window=window)
 
 
 # ---------------------------------------------------------------------------

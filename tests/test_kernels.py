@@ -19,9 +19,10 @@ from pes_denoise.transforms import (
     dwt_analysis,
     dwt_synthesis,
     get_filter_bank,
-    lowpass_filter,
 )
 from pes_denoise.transforms import _dwt_step, _idwt_step
+
+from oracles import lowpass_filter
 
 
 def dwt_step_loop(x, lo, hi):

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from scipy.optimize import bisect
 
 from pes_denoise.projections import (
-    l1_ball_max_size,
     project_epigraph_l1,
     project_epigraph_bands,
     project_l1_ball,
@@ -61,12 +60,10 @@ def test_soft_threshold_full_shrinkage():
 def test_soft_threshold_rejects_negative():
     with pytest.raises(ValueError):
         soft_threshold(np.array([1.0]), -0.1)
-
-
-def test_l1_ball_max_size():
-    assert l1_ball_max_size(np.array([2.0, -1.0])) == 3.0
-    assert l1_ball_max_size(np.zeros(4)) == 0.0
-    assert l1_ball_max_size(np.array([-0.5, 0.5, 0.0])) == 1.0
+    with pytest.raises(ValueError):
+        soft_threshold(np.array([1.0, -2.0]), np.nan)
+    with pytest.raises(ValueError):
+        soft_threshold(np.ones((2, 3)), np.array([[0.5], [np.nan]]))
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +97,8 @@ def test_ball_degenerate_zero_size():
 def test_ball_negative_size_rejected():
     with pytest.raises(ValueError):
         project_l1_ball(np.array([1.0]), -1.0)
+    with pytest.raises(ValueError):
+        project_l1_ball(np.array([1.0, -2.0]), np.nan)
 
 
 def test_ball_matches_bisection_oracle():
@@ -134,6 +133,24 @@ def test_ball_nonexpansive():
         pa = project_l1_ball(a, d).w_p
         pb = project_l1_ball(b, d).w_p
         assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-9
+
+
+# Pairs of bands with zeros and ties: small integers, scaled.
+_tied_pairs = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=_tied_pairs, scale=st.sampled_from([1e-3, 1.0, 7.5]), frac=st.floats(0.0, 1.2))
+@example(pairs=[(3, 0), (-3, 0), (1, 0), (0, 2)], scale=1.0, frac=0.5)
+def test_ball_idempotent_and_nonexpansive_with_zeros_and_ties(pairs, scale, frac):
+    a = scale * np.array([u for u, _ in pairs], dtype=float)
+    b = scale * np.array([v for _, v in pairs], dtype=float)
+    d = frac * float(np.abs(a).sum())
+    pa, pb = project_l1_ball(a, d).w_p, project_l1_ball(b, d).w_p
+    tol = 1e-12 * max(scale, 1.0)
+    assert np.abs(pa).sum() <= d + tol
+    assert np.max(np.abs(project_l1_ball(pa, d).w_p - pa)) <= tol
+    assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + tol
 
 
 def test_ball_invariants_shrinkage_and_signs():

@@ -1,0 +1,92 @@
+"""The package's public surface, pinned.
+
+Adding or removing a public name, or a DenoiseConfig field, should be a
+deliberate change to the lists below.
+"""
+
+import dataclasses
+import importlib
+
+import pes_denoise
+from pes_denoise import DenoiseConfig
+
+PUBLIC_NAMES = [
+    "BANK_NAMES",
+    "BallProjection",
+    "BandProjection",
+    "BandwidthEstimate",
+    "DEFAULT_BANK",
+    "DenoiseConfig",
+    "EpigraphProjection",
+    "ExperimentReport",
+    "ExperimentSpec",
+    "FilterBank",
+    "NoiseSpec",
+    "PyramidSet",
+    "ReportRow",
+    "SIGNAL_NAMES",
+    "SubbandSet",
+    "add_gaussian_noise",
+    "default_cutoffs",
+    "denoise",
+    "design_lowpass",
+    "dwt_analysis",
+    "dwt_synthesis",
+    "emit_csv",
+    "emit_spectrum_csv",
+    "estimate_bandwidth",
+    "estimate_sigma",
+    "generate_test_signal",
+    "get_filter_bank",
+    "grand_means",
+    "levels_for_bandwidth",
+    "magnitude_spectrum",
+    "noise_sigma",
+    "parse_csv",
+    "project_epigraph_bands",
+    "project_epigraph_l1",
+    "project_l1_ball",
+    "pyramid_analysis",
+    "pyramid_max_levels",
+    "pyramid_synthesis",
+    "qmf_highpass",
+    "run_experiment",
+    "select_levels",
+    "signal_to_csv",
+    "snr_db",
+    "soft_threshold",
+    "universal_threshold",
+]
+
+
+def test_all_is_pinned():
+    assert sorted(pes_denoise.__all__) == sorted(PUBLIC_NAMES)
+    assert len(set(pes_denoise.__all__)) == len(pes_denoise.__all__)
+
+
+def test_every_public_name_resolves():
+    namespace: dict = {}
+    exec("from pes_denoise import *", namespace)
+    for name in PUBLIC_NAMES:
+        assert getattr(pes_denoise, name) is namespace[name]
+
+
+def test_denoise_is_the_only_denoising_entry_point():
+    # The package attribute `denoise` is the function, so fetch the module.
+    module = importlib.import_module("pes_denoise.denoise")
+    for name in ("pes_l1_wavelet", "pes_l1_pyramid", "baseline_universal", "baseline_three_sigma"):
+        assert not hasattr(pes_denoise, name)
+        assert not hasattr(module, name)
+
+
+def test_config_fields_are_pinned():
+    assert [field.name for field in dataclasses.fields(DenoiseConfig)] == [
+        "method",
+        "bank",
+        "levels",
+        "gamma",
+        "taps",
+        "strict_paper_mode",
+        "alpha",
+        "smooth_window",
+    ]

@@ -9,6 +9,8 @@ itself, which is asserted separately.
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pes_denoise.projections import soft_threshold
 from pes_denoise.transforms import (
@@ -18,13 +20,15 @@ from pes_denoise.transforms import (
     design_lowpass,
     dwt_analysis,
     dwt_synthesis,
+    feasible_levels,
     get_filter_bank,
-    lowpass_filter,
     pyramid_analysis,
     pyramid_max_levels,
     pyramid_synthesis,
     qmf_highpass,
 )
+
+from oracles import lowpass_filter
 
 ALL_BANKS = [get_filter_bank(name) for name in BANK_NAMES]
 
@@ -164,6 +168,31 @@ def test_batched_roundtrip_and_parseval(bank):
             alone = dwt_analysis(x[t], bank, levels)
             for got, want in zip([bands.lowband, *bands.details], [alone.lowband, *alone.details]):
                 assert np.max(np.abs(got[t] - want)) < 1e-12
+
+
+# n = odd * 2^p, so every depth up to p divides n; the filter length then
+# caps the depth at feasible_levels.
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    bank=st.sampled_from(ALL_BANKS),
+    rows=st.integers(1, 4),
+    odd=st.sampled_from([1, 3, 5, 9]),
+    p=st.integers(1, 10),
+    data=st.data(),
+)
+def test_roundtrip_and_parseval_at_any_feasible_depth(seed, bank, rows, odd, p, data):
+    n = odd << p
+    assume(n >= bank.taps)
+    levels = data.draw(st.integers(1, feasible_levels(n, n.bit_length(), bank.taps)), "levels")
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(rows, n)) * rng.uniform(0.1, 10.0, size=(rows, 1))
+    bands = dwt_analysis(x, bank, levels)
+    y = dwt_synthesis(bands, bank)
+    assert np.max(np.abs(y - x) / np.abs(x).max(axis=-1, keepdims=True)) < 1e-12
+    energy = np.sum(bands.lowband**2, axis=-1) + sum(np.sum(d**2, axis=-1) for d in bands.details)
+    ref = np.sum(x**2, axis=-1) / n
+    assert np.max(np.abs(energy - ref) / ref) < 1e-10
 
 
 # ---------------------------------------------------------------------------
