@@ -16,7 +16,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .denoise import METHODS, DenoiseConfig, denoise
+from .denoise import METHODS, DenoiseConfig, clamp_depth, denoise
 from .harness import (
     DEFAULT_FRACTIONS,
     DEFAULT_SIGNALS,
@@ -35,6 +35,7 @@ from .signals import (
     snr_db,
 )
 from .spectrum import estimate_bandwidth, magnitude_spectrum
+from .transforms import DEFAULT_BANK
 
 
 def _str2bool(value: str) -> bool:
@@ -175,9 +176,11 @@ def _cmd_spectrum(ns: argparse.Namespace) -> int:
     estimate = estimate_bandwidth(mag, **_given(ns, "alpha", "smooth_window"))
     omegas = np.arange(mag.shape[0]) * (2 * math.pi / ns.n)
     _write_or_print(ns.out, f"{name}_spectrum.csv", emit_spectrum_csv(omegas, mag))
+    depths = " ".join(f"{m}={clamp_depth(estimate.levels, DenoiseConfig(m), ns.n)}" for m in METHODS)
     sys.stderr.write(
         f"omega0={estimate.omega0:.6f} levels={estimate.levels} "
         f"noise_floor={estimate.noise_floor:.6f} degenerate={estimate.degenerate}\n"
+        f"depth by method (DWT bank {DEFAULT_BANK}): {depths}\n"
     )
     return 0
 

@@ -14,20 +14,21 @@ signal is the case T = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
 from .projections import project_epigraph_bands, soft_threshold
 from .spectrum import (
     DEFAULT_ALPHA,
-    DEFAULT_MAX_LEVELS,
     DEFAULT_SMOOTH_WINDOW,
+    MAX_LEVELS,
+    check_spectrum_options,
     row_median,
     select_levels,
 )
 from .transforms import (
     DEFAULT_BANK,
-    FilterBank,
     default_cutoffs,
     dwt_analysis,
     dwt_synthesis,
@@ -56,20 +57,14 @@ class DenoiseConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {', '.join(METHODS)}")
-        if self.levels is not None and self.levels < 1:
-            raise ValueError(f"levels must be >= 1, got {self.levels}")
-        if self.gamma < 0:
+        if self.levels is not None and (not isinstance(self.levels, Integral) or self.levels < 1):
+            raise ValueError(f"levels must be an integer >= 1, got {self.levels}")
+        if not self.gamma >= 0:
             raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
-        if self.taps < 3 or self.taps % 2 == 0:
+        if not isinstance(self.taps, Integral) or self.taps < 3 or self.taps % 2 == 0:
             raise ValueError(f"taps must be an odd integer >= 3, got {self.taps}")
         # Checked here too, since an explicit depth never runs the spectrum.
-        if not self.alpha > 1.0:
-            raise ValueError(f"alpha must exceed 1, got {self.alpha}")
-        window = self.smooth_window
-        if not isinstance(window, (int, np.integer)) or window < 1 or window % 2 == 0:
-            raise ValueError(
-                f"smooth window must be a positive odd integer, got {window}"
-            )
+        check_spectrum_options(self.alpha, self.smooth_window)
 
 
 def estimate_sigma(finest_detail: np.ndarray) -> float | np.ndarray:
@@ -84,19 +79,23 @@ def estimate_sigma(finest_detail: np.ndarray) -> float | np.ndarray:
     return float(sigma) if band.ndim == 1 else sigma
 
 
-def _by_depth(x: np.ndarray, cfg: DenoiseConfig, run, max_depth: int) -> np.ndarray:
-    """run(rows, levels) over the rows of x, grouped by depth.
+def clamp_depth(levels: int | np.ndarray, cfg: DenoiseConfig, n: int) -> int | np.ndarray:
+    """The depth cfg's method runs at length n when the spectrum asks for
+    levels: at most the deepest decomposition the method allows there,
+    feasible_levels at the bank's taps for the DWT methods and
+    pyramid_max_levels for the pyramid."""
+    if cfg.method == "pes-pyramid":
+        return np.minimum(levels, pyramid_max_levels(n))
+    return np.minimum(levels, feasible_levels(n, MAX_LEVELS, get_filter_bank(cfg.bank).taps))
 
-    The depth is cfg.levels when set.  Otherwise each row gets its own
-    from the spectrum, clamped to max_depth, the deepest decomposition the
-    signal length allows.
-    """
+
+def _by_depth(x: np.ndarray, cfg: DenoiseConfig, run) -> np.ndarray:
+    """run(rows, levels) over the rows of x, grouped by the depth denoise gives each."""
     rows = np.atleast_2d(np.asarray(x, dtype=float))
     if cfg.levels is not None:
         depths = np.full(rows.shape[0], cfg.levels)
     else:
-        depths = select_levels(rows, cfg.alpha, cfg.smooth_window, DEFAULT_MAX_LEVELS)
-        depths = np.minimum(depths, max_depth)
+        depths = clamp_depth(select_levels(rows, cfg.alpha, cfg.smooth_window), cfg, rows.shape[-1])
     groups = sorted(set(depths.tolist()))
     if len(groups) == 1:
         # One depth for every row: no copies in and out of the groups.
@@ -123,7 +122,7 @@ def _wavelet(x: np.ndarray, cfg: DenoiseConfig, shrink) -> np.ndarray:
         details = np.split(shrunk, np.cumsum(lengths)[:-1], axis=-1)
         return dwt_synthesis(replace(bands, details=details), bank)
 
-    return _by_depth(x, cfg, run, feasible_levels(np.shape(x)[-1], DEFAULT_MAX_LEVELS, bank.taps))
+    return _by_depth(x, cfg, run)
 
 
 def _pyramid(x: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
@@ -135,7 +134,7 @@ def _pyramid(x: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
         shrunk = project_epigraph_bands(highs, None, cfg.strict_paper_mode).w_p
         return pyramid_synthesis(pyramid, shrunk.reshape(pyramid.highs.shape))
 
-    return _by_depth(x, cfg, run, pyramid_max_levels(np.shape(x)[-1]))
+    return _by_depth(x, cfg, run)
 
 
 def universal_threshold(
@@ -186,9 +185,8 @@ def denoise(x: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
     output has x's shape.
 
     The depth is cfg.levels when set, else chosen per row from the
-    spectrum and clamped to the deepest one the method allows at length
-    n.  For pes-pyramid an explicit cfg.levels must satisfy
-    2^(levels+1) <= n, the bound the automatic depth is clamped to.
+    spectrum and clamped by clamp_depth.  For pes-pyramid an explicit
+    cfg.levels must satisfy 2^(levels+1) <= n.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2):

@@ -41,6 +41,8 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be a nonnegative integer, got {self.base_seed}")
         for fraction in self.noise_fractions:
             if not 0.0 < fraction <= 1.0:
                 raise ValueError(f"noise fractions must be in (0, 1], got {fraction}")

@@ -1,31 +1,44 @@
 """Bandwidth estimation from the Fourier magnitude and level selection.
 
-The decomposition depth L is chosen so that pi/2^L stays above the
-observed signal bandwidth omega0.  The bandwidth is read off the
-smoothed magnitude spectrum: the top quarter of the band is treated as
-noise-dominated, its median sets the noise floor, and omega0 is the
-lowest frequency above which the smoothed magnitude never exceeds
-alpha times that floor.
+The decomposition depth L is the largest one, up to MAX_LEVELS, with
+pi/2^L strictly above the observed signal bandwidth omega0.  The
+bandwidth is read off the smoothed magnitude spectrum: the top quarter
+of the band is treated as noise-dominated, its median sets the noise
+floor, and omega0 is the lowest frequency above which the smoothed
+magnitude never exceeds alpha times that floor.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 DEFAULT_ALPHA = 3.0
 DEFAULT_SMOOTH_WINDOW = 9
-DEFAULT_MAX_LEVELS = 6
+MAX_LEVELS = 6
+_CUTOFFS = math.pi / 2.0 ** np.arange(1, MAX_LEVELS + 1)  # pi/2^L, L = 1..MAX_LEVELS
 
 
 @dataclass(frozen=True)
 class BandwidthEstimate:
-    omega0: float
-    noise_floor: float
-    levels: int
-    degenerate: bool = False
+    """Scalars for one half spectrum; for a (T, m) batch, one array entry per row."""
+
+    omega0: float | np.ndarray
+    noise_floor: float | np.ndarray
+    levels: int | np.ndarray
+    degenerate: bool | np.ndarray = False
+
+
+def check_spectrum_options(alpha: float, smooth_window: int) -> None:
+    """Raise ValueError unless alpha > 1 and smooth_window is a positive odd integer."""
+    if not alpha > 1.0:
+        raise ValueError(f"alpha must exceed 1, got {alpha}")
+    if not isinstance(smooth_window, Integral) or smooth_window < 1 or smooth_window % 2 == 0:
+        raise ValueError(f"smooth window must be a positive odd integer, got {smooth_window}")
 
 
 def magnitude_spectrum(x: np.ndarray) -> np.ndarray:
@@ -49,8 +62,6 @@ def row_median(a: np.ndarray) -> np.ndarray:
 
 def _smooth(mag: np.ndarray, window: int) -> np.ndarray:
     """Moving average along each row of a (T, m) array, edges reflected."""
-    if window < 1 or window % 2 == 0:
-        raise ValueError(f"smooth window must be a positive odd integer, got {window}")
     h = window // 2
     if mag.shape[-1] <= h:
         raise ValueError(f"need more than {h} spectrum bins for a {window}-bin window")
@@ -59,73 +70,56 @@ def _smooth(mag: np.ndarray, window: int) -> np.ndarray:
     return np.array([np.convolve(row, kernel, mode="valid") for row in padded])
 
 
-def levels_for_bandwidth(omega0: float, max_levels: int = DEFAULT_MAX_LEVELS) -> int:
-    """Largest L in [1, max_levels] with pi/2^L strictly above omega0."""
+def _depth(omega0: float | np.ndarray) -> np.ndarray:
+    """How many cutoffs pi/2^L, L = 1..MAX_LEVELS, lie strictly above omega0; at least 1."""
+    return np.maximum(1, np.count_nonzero(_CUTOFFS > np.expand_dims(omega0, -1), axis=-1))
+
+
+@functools.lru_cache(maxsize=64)
+def _by_crossing(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """omega0, depth and degenerate flag of an m-bin half spectrum for each
+    crossing 0..m, one past the last bin that clears the floor.  Tabulated
+    once per length, since a handful of ufuncs per call dominates at T=1."""
+    crossing = np.arange(m + 1)
+    omega0 = np.where(crossing >= m - 1, math.pi, math.pi * np.maximum(crossing, 1) / (m - 1))
+    levels = np.where(crossing == 0, MAX_LEVELS, _depth(omega0))
+    return omega0, levels, (crossing == 0) | (math.pi / 2.0**levels <= omega0)
+
+
+def levels_for_bandwidth(omega0: float) -> int:
+    """Largest L in [1, MAX_LEVELS] with pi/2^L strictly above omega0."""
     if not 0.0 < omega0 < math.pi:
         raise ValueError(f"omega0 must lie in (0, pi), got {omega0}")
-    levels = int(math.floor(math.log2(math.pi / omega0)))
-    while math.pi / (1 << max(levels, 0)) <= omega0:
-        levels -= 1
-    return max(1, min(max_levels, levels))
-
-
-def _estimate_rows(
-    mag: np.ndarray, alpha: float, smooth_window: int, max_levels: int
-) -> list[BandwidthEstimate]:
-    """One estimate per row of a (T, m) half spectrum."""
-    if alpha <= 1.0:
-        raise ValueError(f"alpha must exceed 1, got {alpha}")
-    smoothed = _smooth(mag, smooth_window)
-    m = smoothed.shape[-1]
-    noise_floors = row_median(smoothed[:, (3 * m) // 4:])
-    above = smoothed >= alpha * noise_floors[:, None]
-    # One past the last bin that clears the floor, 0 when none does.
-    crossings = np.where(above.any(axis=-1), m - np.argmax(above[:, ::-1], axis=-1), 0)
-    estimates = []
-    for crossing, noise_floor in zip(crossings.tolist(), noise_floors.tolist()):
-        if crossing == 0:
-            # Nothing clears the floor criterion: report the first bin and
-            # the deepest decomposition, flagged.
-            estimates.append(
-                BandwidthEstimate(math.pi / (m - 1), noise_floor, max_levels, degenerate=True)
-            )
-        elif crossing >= m - 1:
-            # Magnitude stays above the floor to the Nyquist bin: no L >= 1
-            # can satisfy pi/2^L > omega0.
-            estimates.append(BandwidthEstimate(math.pi, noise_floor, 1, degenerate=True))
-        else:
-            omega0 = math.pi * crossing / (m - 1)
-            levels = levels_for_bandwidth(omega0, max_levels)
-            degenerate = math.pi / (1 << levels) <= omega0
-            estimates.append(BandwidthEstimate(omega0, noise_floor, levels, degenerate))
-    return estimates
+    return int(_depth(omega0))
 
 
 def estimate_bandwidth(
-    mag: np.ndarray,
-    alpha: float = DEFAULT_ALPHA,
-    smooth_window: int = DEFAULT_SMOOTH_WINDOW,
-    max_levels: int = DEFAULT_MAX_LEVELS,
+    mag: np.ndarray, alpha: float = DEFAULT_ALPHA, smooth_window: int = DEFAULT_SMOOTH_WINDOW
 ) -> BandwidthEstimate:
-    """Bandwidth and depth from one half spectrum (1-D ``mag``)."""
+    """Bandwidth and depth from a half spectrum of shape (m,) or (T, m).
+
+    A row where nothing clears the floor gets the first bin and MAX_LEVELS,
+    and one that clears it up to the Nyquist bin gets omega0 = pi and depth
+    1; both are flagged degenerate, as is any depth not above omega0.
+    """
+    check_spectrum_options(alpha, smooth_window)
     mag = np.asarray(mag, dtype=float)
-    return _estimate_rows(mag[None, :], alpha, smooth_window, max_levels)[0]
+    if mag.ndim not in (1, 2):
+        raise ValueError(f"expected a half spectrum of shape (m,) or (T, m), got shape {mag.shape}")
+    smoothed = _smooth(np.atleast_2d(mag), smooth_window)
+    m = smoothed.shape[-1]
+    noise_floor = row_median(smoothed[:, (3 * m) // 4:])
+    above = smoothed >= alpha * noise_floor[:, None]
+    # One past the last bin that clears the floor, 0 when none does.
+    crossing = np.where(above.any(axis=-1), m - np.argmax(above[:, ::-1], axis=-1), 0)
+    omega0, levels, degenerate = (table[crossing] for table in _by_crossing(m))
+    fields = (omega0, noise_floor, levels, degenerate)
+    return BandwidthEstimate(*(field.item() for field in fields) if mag.ndim == 1 else fields)
 
 
 def select_levels(
-    x: np.ndarray,
-    alpha: float = DEFAULT_ALPHA,
-    smooth_window: int = DEFAULT_SMOOTH_WINDOW,
-    max_levels: int = DEFAULT_MAX_LEVELS,
+    x: np.ndarray, alpha: float = DEFAULT_ALPHA, smooth_window: int = DEFAULT_SMOOTH_WINDOW
 ) -> int | np.ndarray:
-    """Decomposition depth for a (noisy) signal, straight from its spectrum.
-
-    An int for a 1-D signal; for a (T, n) array, an int array with one
-    depth per row.
-    """
-    x = np.asarray(x, dtype=float)
-    rows = _estimate_rows(
-        magnitude_spectrum(np.atleast_2d(x)), alpha, smooth_window, max_levels
-    )
-    levels = np.array([estimate.levels for estimate in rows])
-    return int(levels[0]) if x.ndim == 1 else levels
+    """Decomposition depth for a (noisy) signal, straight from its spectrum:
+    an int for a 1-D signal, an int array with one per row for a (T, n) array."""
+    return estimate_bandwidth(magnitude_spectrum(x), alpha, smooth_window).levels

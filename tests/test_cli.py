@@ -103,6 +103,15 @@ def test_spectrum_verb(tmp_path, capsys):
     assert len(lines) == 258  # 512/2 + 1 bins + header
 
 
+def test_spectrum_verb_reports_the_depth_each_method_runs(capsys):
+    # At n=1000 = 8 * 125 the spectrum asks for 5 levels; a db4 DWT allows 3.
+    argv = ["spectrum", "--signal", "heavy-sine", "--n", "1000", "--noise", "0.2", "--seed", "8"]
+    assert run(argv) == 0
+    err = capsys.readouterr().err
+    assert " levels=5 " in err
+    assert "pes-wavelet=3 pes-pyramid=5 universal=3 three-sigma=3" in err
+
+
 @pytest.mark.parametrize(
     "flag",
     [
@@ -189,6 +198,13 @@ def test_experiment_failure_exit_code(tmp_path, capsys):
     )
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_experiment_rejects_a_negative_seed(capsys):
+    # Refused when the spec is built, not once per cell at run time.
+    argv = ["experiment", "--signal", "cusp", "--noise", "0.2", "--trials", "1", "--n", "256"]
+    assert run(argv + ["--seed", "-1"]) == 2
+    assert "base_seed must be a nonnegative integer" in capsys.readouterr().err
 
 
 def test_experiment_rejects_repeated_method(capsys):

@@ -169,12 +169,15 @@ def test_pes_paths_never_touch_sigma_estimation(monkeypatch):
 def test_config_validation():
     with pytest.raises(ValueError):
         DenoiseConfig(method="wiener")
-    with pytest.raises(ValueError):
-        DenoiseConfig(levels=0)
-    with pytest.raises(ValueError):
-        DenoiseConfig(gamma=-0.5)
-    with pytest.raises(ValueError):
-        DenoiseConfig(taps=128)
+    for levels in (0, 2.5):
+        with pytest.raises(ValueError, match="levels must be an integer"):
+            DenoiseConfig(levels=levels)
+    for gamma in (-0.5, np.nan):
+        with pytest.raises(ValueError, match="gamma must be nonnegative"):
+            DenoiseConfig(gamma=gamma)
+    for taps in (128, 129.0):
+        with pytest.raises(ValueError, match="taps must be an odd integer"):
+            DenoiseConfig(taps=taps)
     with pytest.raises(ValueError):
         denoise(np.array([]), DenoiseConfig())
     # An explicit depth never runs the spectrum, so the config itself

@@ -34,6 +34,8 @@ def test_spec_validation():
         ExperimentSpec(trials=0)
     with pytest.raises(ValueError):
         ExperimentSpec(noise_fractions=(0.2, 1.5))
+    with pytest.raises(ValueError, match="base_seed must be a nonnegative integer"):
+        ExperimentSpec(base_seed=-1)
 
 
 def test_run_experiment_is_deterministic():

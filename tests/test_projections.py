@@ -153,6 +153,17 @@ def test_ball_idempotent_and_nonexpansive_with_zeros_and_ties(pairs, scale, frac
     assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + tol
 
 
+@settings(max_examples=200, deadline=None)
+@given(pairs=_tied_pairs, scale=st.sampled_from([1e-3, 1.0, 7.5]), frac=st.floats(0.0, 1.2))
+@example(pairs=[(3, 0), (-3, 0), (1, 0), (0, 2)], scale=1.0, frac=0.5)
+def test_ball_matches_bisection_oracle_with_zeros_and_ties(pairs, scale, frac):
+    # The oracle bisects the threshold, as acceptance criterion 1 does.
+    w = scale * np.array([u for u, _ in pairs], dtype=float)
+    d = frac * float(np.abs(w).sum())
+    got = project_l1_ball(w, d).w_p
+    assert np.max(np.abs(got - ball_oracle(w, d))) <= 1e-9 * max(scale, 1.0)
+
+
 def test_ball_invariants_shrinkage_and_signs():
     rng = np.random.default_rng(7)
     for _ in range(50):

@@ -6,6 +6,7 @@ deliberate change to the lists below.
 
 import dataclasses
 import importlib
+import inspect
 
 import pes_denoise
 from pes_denoise import DenoiseConfig
@@ -62,6 +63,21 @@ PUBLIC_NAMES = [
 def test_all_is_pinned():
     assert sorted(pes_denoise.__all__) == sorted(PUBLIC_NAMES)
     assert len(set(pes_denoise.__all__)) == len(pes_denoise.__all__)
+
+
+def test_spectrum_parameters_are_pinned():
+    # perfbench/tracer.py binds select_levels's argument `x` by name.
+    assert list(inspect.signature(pes_denoise.select_levels).parameters) == [
+        "x",
+        "alpha",
+        "smooth_window",
+    ]
+    assert list(inspect.signature(pes_denoise.estimate_bandwidth).parameters) == [
+        "mag",
+        "alpha",
+        "smooth_window",
+    ]
+    assert list(inspect.signature(pes_denoise.levels_for_bandwidth).parameters) == ["omega0"]
 
 
 def test_every_public_name_resolves():

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pes_denoise.signals import NoiseSpec, add_gaussian_noise, generate_test_signal
 from pes_denoise.spectrum import (
+    MAX_LEVELS,
     estimate_bandwidth,
     levels_for_bandwidth,
     magnitude_spectrum,
@@ -41,12 +44,65 @@ def test_magnitude_spectrum_rejects_short_input():
 def test_levels_for_bandwidth_hand_cases():
     assert levels_for_bandwidth(58 * math.pi / 512) == 3  # pi/8 > omega0 >= pi/16
     assert levels_for_bandwidth(math.pi / 4) == 1  # strict: pi/4 is NOT > pi/4
-    assert levels_for_bandwidth(1e-3) == 6  # capped at max_levels
-    assert levels_for_bandwidth(1e-3, max_levels=4) == 4
+    assert levels_for_bandwidth(1e-3) == 6  # capped at MAX_LEVELS
     with pytest.raises(ValueError):
         levels_for_bandwidth(0.0)
     with pytest.raises(ValueError):
         levels_for_bandwidth(math.pi)
+
+
+def _at_every_cutoff_edge(test):
+    """Each pi/2^k, past the deepest level too, and the floats either side."""
+    for k in range(1, MAX_LEVELS + 3):
+        cutoff = math.pi / 2**k
+        for omega0 in (np.nextafter(cutoff, 0.0), cutoff, np.nextafter(cutoff, math.pi)):
+            test = example(omega0=float(omega0))(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None)
+@given(omega0=st.floats(0.0, math.pi, exclude_min=True, exclude_max=True))
+@_at_every_cutoff_edge
+def test_levels_for_bandwidth_matches_brute_force(omega0):
+    brute = max([L for L in range(1, 7) if math.pi / 2**L > omega0], default=1)
+    assert levels_for_bandwidth(omega0) == brute
+
+
+def _half_spectrum(rng: np.random.Generator, kind: str, m: int) -> np.ndarray:
+    if kind == "noise":
+        return rng.rayleigh(size=m)
+    if kind == "ties":  # small integers: zeros and tied bins
+        return rng.integers(0, 4, size=m).astype(float)
+    if kind == "plateau":
+        return np.where(np.arange(m) < rng.integers(1, m), 20.0, 1.0)
+    if kind == "nyquist":
+        return np.where(np.arange(m) >= m - rng.integers(1, m), 20.0, 1.0)
+    return np.full(m, float(kind == "flat"))  # "flat", or "zero"
+
+
+_KINDS = ["noise", "ties", "plateau", "nyquist", "flat", "zero"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from(_KINDS), min_size=1, max_size=6),
+    m=st.integers(9, 300),
+    alpha=st.floats(1.0, 10.0, exclude_min=True),
+    window=st.sampled_from([1, 3, 9, 15]),
+)
+def test_batch_estimate_equals_row_by_row(seed, kinds, m, alpha, window):
+    rng = np.random.default_rng(seed)
+    mag = np.stack([_half_spectrum(rng, kind, m) for kind in kinds])
+    batch = estimate_bandwidth(mag, alpha, window)
+    for field in ("omega0", "noise_floor", "levels", "degenerate"):
+        assert getattr(batch, field).shape == (len(kinds),)
+    for t, row in enumerate(mag):
+        one = estimate_bandwidth(row, alpha, window)
+        assert type(one.omega0) is float and type(one.noise_floor) is float
+        assert type(one.levels) is int and type(one.degenerate) is bool
+        assert one.omega0 == batch.omega0[t] and one.noise_floor == batch.noise_floor[t]
+        assert one.levels == batch.levels[t] and one.degenerate == batch.degenerate[t]
 
 
 def test_estimate_bandwidth_synthetic_plateau():
@@ -72,11 +128,14 @@ def test_estimate_bandwidth_scale_invariant():
 
 
 def test_estimate_bandwidth_validation():
-    mag = np.ones(513)
-    with pytest.raises(ValueError):
-        estimate_bandwidth(mag, alpha=1.0)
-    with pytest.raises(ValueError):
-        estimate_bandwidth(mag, smooth_window=8)
+    mag, x = np.ones(513), np.ones(64)
+    for options in ({"alpha": 1.0}, {"alpha": np.nan}, {"smooth_window": 8}, {"smooth_window": 9.0}):
+        with pytest.raises(ValueError, match="alpha must exceed 1|positive odd integer"):
+            estimate_bandwidth(mag, **options)
+        with pytest.raises(ValueError, match="alpha must exceed 1|positive odd integer"):
+            select_levels(x, **options)
+    with pytest.raises(ValueError, match="half spectrum of shape"):
+        estimate_bandwidth(np.ones((2, 3, 513)))
 
 
 def test_white_noise_is_degenerate_deepest():
