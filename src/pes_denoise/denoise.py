@@ -57,6 +57,7 @@ class DenoiseConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {', '.join(METHODS)}")
+        get_filter_bank(self.bank)  # raises ValueError for an unknown bank
         if self.levels is not None and (not isinstance(self.levels, Integral) or self.levels < 1):
             raise ValueError(f"levels must be an integer >= 1, got {self.levels}")
         if not self.gamma >= 0:
@@ -89,13 +90,18 @@ def clamp_depth(levels: int | np.ndarray, cfg: DenoiseConfig, n: int) -> int | n
     return np.minimum(levels, feasible_levels(n, MAX_LEVELS, get_filter_bank(cfg.bank).taps))
 
 
-def _by_depth(x: np.ndarray, cfg: DenoiseConfig, run) -> np.ndarray:
-    """run(rows, levels) over the rows of x, grouped by the depth denoise gives each."""
+def _by_depth(x: np.ndarray, cfg: DenoiseConfig, spectrum_levels, run) -> np.ndarray:
+    """run(rows, levels) over the rows of x, grouped by the depth denoise gives each.
+
+    spectrum_levels is None, or the (T,) spectrum depths of x's rows.
+    """
     rows = np.atleast_2d(np.asarray(x, dtype=float))
     if cfg.levels is not None:
         depths = np.full(rows.shape[0], cfg.levels)
     else:
-        depths = clamp_depth(select_levels(rows, cfg.alpha, cfg.smooth_window), cfg, rows.shape[-1])
+        if spectrum_levels is None:
+            spectrum_levels = select_levels(rows, cfg.alpha, cfg.smooth_window)
+        depths = clamp_depth(spectrum_levels, cfg, rows.shape[-1])
     groups = sorted(set(depths.tolist()))
     if len(groups) == 1:
         # One depth for every row: no copies in and out of the groups.
@@ -107,7 +113,7 @@ def _by_depth(x: np.ndarray, cfg: DenoiseConfig, run) -> np.ndarray:
     return out.reshape(np.shape(x))
 
 
-def _wavelet(x: np.ndarray, cfg: DenoiseConfig, shrink) -> np.ndarray:
+def _wavelet(x: np.ndarray, cfg: DenoiseConfig, spectrum_levels, shrink) -> np.ndarray:
     """DWT, shrink(details, lengths, n, cfg) on the detail bands, inverse DWT.
 
     details is the (T, N) concatenation of the detail bands, finest
@@ -122,10 +128,10 @@ def _wavelet(x: np.ndarray, cfg: DenoiseConfig, shrink) -> np.ndarray:
         details = np.split(shrunk, np.cumsum(lengths)[:-1], axis=-1)
         return dwt_synthesis(replace(bands, details=details), bank)
 
-    return _by_depth(x, cfg, run)
+    return _by_depth(x, cfg, spectrum_levels, run)
 
 
-def _pyramid(x: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
+def _pyramid(x: np.ndarray, cfg: DenoiseConfig, spectrum_levels) -> np.ndarray:
     """Pyramid analysis, every stage's highband shrunk by projection, synthesis."""
 
     def run(rows: np.ndarray, levels: int) -> np.ndarray:
@@ -134,7 +140,7 @@ def _pyramid(x: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
         shrunk = project_epigraph_bands(highs, None, cfg.strict_paper_mode).w_p
         return pyramid_synthesis(pyramid, shrunk.reshape(pyramid.highs.shape))
 
-    return _by_depth(x, cfg, run)
+    return _by_depth(x, cfg, spectrum_levels, run)
 
 
 def universal_threshold(
@@ -176,7 +182,21 @@ _SHRINK = {
 }
 
 
-def denoise(x: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
+def _spectrum_levels_by_row(spectrum_levels, x: np.ndarray) -> np.ndarray:
+    """spectrum_levels as one depth per row of x, shape (T,) (1 for 1-D x).
+
+    Raises ValueError unless they are one integer depth in [1, MAX_LEVELS]
+    per row: an int for 1-D x, a (T,) array for (T, n)."""
+    levels = np.asarray(spectrum_levels)
+    expected = "an integer" if x.ndim == 1 else f"an integer array of shape {x.shape[:-1]}"
+    if levels.shape != x.shape[:-1] or levels.dtype.kind not in "iu":
+        raise ValueError(f"spectrum_levels must be {expected}, got {spectrum_levels!r}")
+    if not np.all((levels >= 1) & (levels <= MAX_LEVELS)):
+        raise ValueError(f"spectrum_levels must lie in [1, {MAX_LEVELS}], got {spectrum_levels!r}")
+    return levels.reshape(-1)
+
+
+def denoise(x: np.ndarray, cfg: DenoiseConfig, spectrum_levels=None) -> np.ndarray:
     """Denoise x along its last axis with the method cfg names.
 
     x is one signal of shape (n,) or a batch of shape (T, n), with
@@ -184,8 +204,12 @@ def denoise(x: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
     with its own depth and (for the baselines) its own sigma-hat; the
     output has x's shape.
 
-    The depth is cfg.levels when set, else chosen per row from the
-    spectrum and clamped by clamp_depth.  For pes-pyramid an explicit
+    The depth is cfg.levels when set, else each row's spectrum depth,
+    clamped by clamp_depth.  spectrum_levels, when given, are those
+    depths as select_levels(x, cfg.alpha, cfg.smooth_window) returns
+    them (an int for 1-D x, a (T,) integer array for a batch), so that
+    callers running several methods on one x select them once; without
+    it, denoise selects them itself.  For pes-pyramid an explicit
     cfg.levels must satisfy 2^(levels+1) <= n.
     """
     x = np.asarray(x, dtype=float)
@@ -197,6 +221,8 @@ def denoise(x: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
         raise ValueError("cannot denoise a batch with no rows")
     if not np.isfinite(x).all():
         raise ValueError("input contains NaN or infinite samples")
+    if spectrum_levels is not None:
+        spectrum_levels = _spectrum_levels_by_row(spectrum_levels, x)
     if cfg.method == "pes-pyramid":
-        return _pyramid(x, cfg)
-    return _wavelet(x, cfg, _SHRINK[cfg.method])
+        return _pyramid(x, cfg, spectrum_levels)
+    return _wavelet(x, cfg, spectrum_levels, _SHRINK[cfg.method])

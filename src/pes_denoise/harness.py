@@ -5,6 +5,12 @@ instances, seeded as base_seed + trial, so method comparisons are
 paired.  A cell stacks its trials as the rows of one (trials, n) matrix,
 row t seeded base_seed + t, and denoises it with one call per method,
 so a report is deterministic for a given seed.
+
+Each piece of work is done once: the unit noise is drawn once per
+experiment and scaled for each cell (row t is bit for bit
+add_gaussian_noise(clean, NoiseSpec(fraction, base_seed + t))), and each
+cell's depths come from one select_levels call per distinct spectrum
+setting, which every method given no explicit depth then clamps on its own.
 """
 
 from __future__ import annotations
@@ -15,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .denoise import DenoiseConfig, denoise
-from .signals import NoiseSpec, add_gaussian_noise, generate_test_signal, snr_db
+from .signals import _add_noise, _unit_noise, generate_test_signal, snr_db
+from .spectrum import select_levels
 
 DEFAULT_SIGNALS = ("blocks", "heavy-sine", "doppler", "bumps", "piece-regular", "cusp")
 DEFAULT_FRACTIONS = (0.10, 0.20, 0.30)
@@ -87,19 +94,21 @@ def _summarize(values) -> tuple[float, float, int]:
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     rows: list[ReportRow] = []
     errors: list[str] = []
+    unit = np.stack([_unit_noise(spec.base_seed + trial, spec.n) for trial in range(spec.trials)])
+    # The spectrum settings of the methods that take their depth from it.
+    plans = {(cfg.alpha, cfg.smooth_window) for cfg in spec.methods if cfg.levels is None}
 
     for signal_name in spec.signals:
         clean = generate_test_signal(signal_name, spec.n)
         for fraction in spec.noise_fractions:
             try:
-                noisy = np.stack(
-                    [
-                        add_gaussian_noise(clean, NoiseSpec(fraction, spec.base_seed + trial))
-                        for trial in range(spec.trials)
-                    ]
-                )
+                noisy = _add_noise(clean, fraction, unit)
                 input_snrs = snr_db(clean, noisy)
-                outputs = [snr_db(clean, denoise(noisy, cfg)) for cfg in spec.methods]
+                depths = {plan: select_levels(noisy, *plan) for plan in plans}
+                outputs = [
+                    snr_db(clean, denoise(noisy, cfg, depths.get((cfg.alpha, cfg.smooth_window))))
+                    for cfg in spec.methods
+                ]
             except Exception as exc:  # noqa: BLE001 - cell aborts, error is reported
                 errors.append(f"{signal_name}/{fraction:g}: {type(exc).__name__}: {exc}")
                 continue

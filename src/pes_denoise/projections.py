@@ -21,9 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 _SIGN_TIE_TOL = 1e-12
-# Rows are projected in blocks of about this many elements, so that the
-# kernel's few block-sized buffers stay in a 2 MB L2 cache.
-_BLOCK_ELEMENTS = 1 << 14
+# Rows are projected in blocks of about this many elements.  Every block
+# repeats the kernel's numpy calls, so blocks are large: 2^16 elements hold
+# the 40-60 pyramid highband rows of ten 1024-sample signals at once, in
+# three buffers of 1.1 MB together.
+_BLOCK_ELEMENTS = 1 << 16
+# Rounding margin of the candidate floor, per entry of a band and per unit
+# of its l1 mass: an upper bound on the error of the sorted rule's test
+# (see _sorted_rule).
+_FLOOR_MARGIN = 4 * np.finfo(float).eps
 
 
 def soft_threshold(w: np.ndarray, theta: float | np.ndarray) -> np.ndarray:
@@ -70,19 +76,63 @@ class BandProjection:
 
 
 @functools.lru_cache(maxsize=64)
-def _layout(lengths: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only index arrays of a band layout along the last axis.
-
-    (lengths, starts, band of each position, 1-based rank of each position
-    within its band, as floats).
-    """
+def _layout(lengths: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only arrays of a band layout along the last axis: (lengths,
+    starts, each band's rounding margin per unit of l1 mass)."""
     sizes = np.array(lengths)
     starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    band_of = np.repeat(np.arange(sizes.shape[0]), sizes)
-    rank = (np.arange(band_of.shape[0]) - starts[band_of] + 1).astype(float)
-    for array in (sizes, starts, band_of, rank):
+    margin = _FLOOR_MARGIN * sizes
+    for array in (sizes, starts, margin):
         array.flags.writeable = False
-    return sizes, starts, band_of, rank
+    return sizes, starts, margin
+
+
+def _sorted_rule(
+    mag: np.ndarray,
+    l1: np.ndarray,
+    d: np.ndarray,
+    skip: np.ndarray,
+    layout: tuple[np.ndarray, np.ndarray, np.ndarray],
+    flag: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, rho) of the sorted rule at ball sizes d, for every (row, band)
+    of a block of magnitudes; (T, B) arrays whose entries where skip is set
+    are to be discarded.  flag is a boolean work buffer of mag's shape.
+
+    The sorted rule of Duchi et al. 2008 ("Efficient projections onto the
+    l1-ball"): with the descending magnitudes mu_1 >= ... of a band,
+    rho = max{ j : mu_j - (sum_{r<=j} mu_r - d)/j > 0 } and
+    theta = (sum_{r<=rho} mu_r - d)/rho, with rho = 1 where no j passes.
+
+    Only a band's candidates are sorted.  Where mu_1 - mu_j >= d,
+    sum_{r<=j} (mu_r - mu_j) >= d and the test fails at j, so every entry
+    the rule keeps is at least mu_1 - d (in the spirit of Condat 2016,
+    "Fast projection onto the simplex and the l1 ball").  The floor is
+    lowered by margin * l1, more than the rounding error of the test, so
+    that no j the rule passes in floating point is left out.  The
+    candidates are every entry at or above the floor, ties included, so
+    they are the top of the band's sorted order, and their cumulative sums
+    are bit for bit those of the whole sorted band: theta and rho are
+    exactly the full-sort rule's for the same d.
+    """
+    sizes, starts, margin = layout
+    floor = np.maximum.reduceat(mag, starts, axis=-1) - (d + margin * l1)
+    floor[skip] = np.inf
+    np.greater_equal(mag, np.repeat(floor, sizes, axis=-1), out=flag)
+    counts = np.add.reduceat(flag, starts, axis=-1, dtype=np.intp).reshape(-1, 1)
+    # One row per (row, band): its candidates, then -inf, which no test
+    # passes at.  A NaN floor (from non-finite input) admits no candidate;
+    # one column at least lets the block finish, with a threshold as
+    # meaningless as such input makes every other one.
+    ranks = np.arange(1, max(counts.max(), 1) + 1)
+    mu = np.full((counts.shape[0], ranks.shape[0]), -np.inf)
+    mu[ranks <= counts] = mag[flag]  # both row-major, so each band's candidates fill its row
+    mu.sort(axis=-1)
+    mu = mu[:, ::-1]  # mu_1 >= mu_2 >= ... >= mu_c, then the padding
+    q = (np.add.accumulate(mu, axis=-1) - d.reshape(-1, 1)) / ranks  # (sum_{r<=j} mu_r - d)/j
+    kept = np.maximum(((mu > q) * ranks).max(axis=-1), 1)  # the last j that passes
+    theta = q[np.arange(kept.shape[0]), kept - 1]
+    return theta.reshape(skip.shape), kept.reshape(skip.shape)
 
 
 def _project(
@@ -93,68 +143,52 @@ def _project(
     With ball=None each (row, band) gets its epigraph projection; with a
     (T, B) array of positive ball sizes, its projection onto that l1 ball.
 
-    The sorted rule of Duchi et al. 2008 ("Efficient projections onto the
-    l1-ball"): with the descending magnitudes mu_1 >= ... of a band,
-    rho = max{ j : mu_j - (sum_{r<=j} mu_r - d)/j > 0 } and
-    theta = (sum_{r<=rho} mu_r - d)/rho.  The bands are sorted as negated
-    magnitudes, so every sum below is the exact negation of the one in
-    that formula.
+    Each band's l1 mass, nonzero count and smallest nonzero magnitude come
+    from reductions in index order; only the bands that need the sorted
+    rule sort anything, and only their candidates (see _sorted_rule).
     """
-    sizes, starts, band_of, rank = _layout(lengths)
-    ends = starts + sizes
+    layout = _layout(lengths)
+    sizes, starts, _ = layout
     rows, n = w.shape
+    shape = (rows, sizes.shape[0])
     result = BandProjection(
         w_p=np.empty_like(w),
-        d=np.empty((rows, sizes.shape[0])),
-        threshold=np.empty((rows, sizes.shape[0])),
-        fast_path=np.empty((rows, sizes.shape[0]), dtype=bool),
-        rho=np.empty((rows, sizes.shape[0]), dtype=np.intp),
+        d=np.empty(shape),
+        threshold=np.empty(shape),
+        fast_path=np.empty(shape, dtype=bool),
+        rho=np.empty(shape, dtype=np.intp),
     )
     block = min(rows, max(1, _BLOCK_ELEMENTS // n))
-    buffers = [np.empty((block, n)) for _ in range(4)] + [np.empty((block, n), dtype=bool)]
-    bounds = list(zip(starts.tolist(), ends.tolist()))
+    buffers = (np.empty((block, n)), np.empty((block, n)), np.empty((block, n), dtype=bool))
     for r0 in range(0, rows, block):
         wb = w[r0:r0 + block]
-        mag, neg, cs, tmp, flag = (buffer[: wb.shape[0]] for buffer in buffers)
-        # Flat index of each block row's first element, for per-band gathers.
-        base = np.arange(wb.shape[0])[:, None] * n
+        mag, tmp, flag = (buffer[: wb.shape[0]] for buffer in buffers)
         np.abs(wb, out=mag)
-        np.negative(mag, out=neg)
-        for start, end in bounds:
-            neg[:, start:end].sort(axis=-1)  # -mu_1 <= -mu_2 <= ...
-            np.add.accumulate(neg[:, start:end], axis=-1, out=cs[:, start:end])
+        l1 = np.add.reduceat(mag, starts, axis=-1)
         if ball is None:
-            np.less(neg, 0.0, out=flag)
+            np.not_equal(mag, 0.0, out=flag)
             nnz = np.add.reduceat(flag, starts, axis=-1, dtype=np.intp)
-            l1 = -cs.reshape(-1)[base + (ends - 1)]
             t = l1 / ((sizes if strict_paper_mode else nnz) + 1)
             d = l1 - nnz * t
             # w_p = sign(w) * (|w| - t) on the boundary hyperplane, so a
-            # nonzero entry's sign flips where t exceeds its magnitude; the
-            # smallest nonzero magnitude of a band sits at its rank nnz.
-            smallest = -neg.reshape(-1)[base + starts + np.maximum(nnz, 1) - 1]
-            fast = (t - smallest <= _SIGN_TIE_TOL) | (nnz == 0)
+            # nonzero entry's sign flips where t exceeds its magnitude.  The
+            # bits of nonnegative doubles order as the doubles do, and 0 - 1
+            # wraps to the largest integer, so the minimum of bits - 1 skips
+            # the zeros; an all-zero band gets 0 back, and has t = 0.
+            bits = tmp.view(np.uint64)
+            np.subtract(mag.view(np.uint64), 1, out=bits)
+            smallest = (np.minimum.reduceat(bits, starts, axis=-1) + 1).view(float)
+            fast = t - smallest <= _SIGN_TIE_TOL
         else:
             d = ball[r0:r0 + block]
             t = np.zeros_like(d)
             fast = np.zeros(d.shape, dtype=bool)
         threshold, rho = t, np.zeros(d.shape, dtype=np.intp)
         if not fast.all():
-            d.take(band_of, axis=-1, out=tmp, mode="clip")
-            np.add(cs, tmp, out=tmp)
-            np.divide(tmp, rank, out=tmp)
-            np.subtract(tmp, neg, out=tmp)  # mu_j - (sum_{r<=j} mu_r - d)/j
-            np.greater(tmp, 0.0, out=flag)
-            np.multiply(flag, rank, out=tmp)
-            # The last j that passes; j = 1 always does where the rule
-            # applies (d > 0).  The clamp keeps the gather in range on
-            # fast-path bands, whose theta is discarded.
-            kept = np.maximum(np.maximum.reduceat(tmp, starts, axis=-1).astype(np.intp), 1)
-            theta = -(cs.reshape(-1)[base + starts + kept - 1] + d) / kept
+            theta, kept = _sorted_rule(mag, l1, d, fast, layout, flag)
             threshold = np.where(fast, t, theta)
             rho = np.where(fast, 0, kept)
-        threshold.take(band_of, axis=-1, out=tmp, mode="clip")
-        np.subtract(mag, tmp, out=tmp)
+        np.subtract(mag, np.repeat(threshold, sizes, axis=-1), out=tmp)
         np.maximum(tmp, 0.0, out=tmp)
         np.copysign(tmp, wb, out=result.w_p[r0:r0 + block])  # soft(w, threshold)
         result.d[r0:r0 + block] = d
@@ -196,7 +230,7 @@ def project_l1_ball(w: np.ndarray, d: float) -> BallProjection:
     """Euclidean projection onto {u : sum |u[n]| <= d} (sorted variant).
 
     Interior points return unchanged with theta = 0.  Outside the ball,
-    the threshold comes from the sorted rule (see :func:`_project`), then
+    the threshold comes from the sorted rule (see :func:`_sorted_rule`), then
     w_p = soft(w, theta).
     """
     if not d >= 0:

@@ -4,6 +4,8 @@ These are not part of the package's API: each one restates a quantity
 the library computes internally, so a test can compare the two.
 """
 
+import math
+
 import numpy as np
 
 from pes_denoise.transforms import _kernel_spectrum
@@ -20,3 +22,39 @@ def lowpass_filter(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     product = np.fft.rfft(x, axis=-1)
     product *= _kernel_spectrum(np.asarray(h, dtype=float), x.shape[-1])
     return np.fft.irfft(product, x.shape[-1], axis=-1)
+
+
+def full_sort_rule(
+    band: np.ndarray, strict_paper_mode: bool = False, d: float | None = None
+) -> tuple[np.ndarray, float, float, int, bool]:
+    """One band's projection by the full-sort rule: (w_p, d, threshold, rho,
+    fast_path), as the segmented kernel reports them.
+
+    With d=None, the epigraph projection: t = l1/(M+1) with l1 the band's
+    correctly rounded l1 mass, M the nonzero count (the band length in
+    strict mode), d = l1 - nnz*t, and the fast
+    path wherever t exceeds no nonzero magnitude by more than 1e-12.  With
+    a ball size d, the projection onto that l1 ball, which never takes the
+    fast path.  Elsewhere the sorted rule of Duchi et al. (2008) runs on
+    the whole band, sorted: rho is the last j with
+    mu_j - (sum_{r<=j} mu_r - d)/j > 0 (1 where none passes) and the
+    threshold is (sum_{r<=rho} mu_r - d)/rho.
+    """
+    mag = np.abs(np.asarray(band, dtype=float))
+    mu = np.sort(mag)[::-1]
+    cs = np.cumsum(mu)
+    fast_path, t = False, 0.0
+    if d is None:
+        nnz = int(np.count_nonzero(mag))
+        l1 = math.fsum(mag)
+        t = l1 / ((mag.shape[0] if strict_paper_mode else nnz) + 1)
+        d = l1 - nnz * t
+        fast_path = nnz == 0 or t - mu[nnz - 1] <= 1e-12
+    rho, threshold = 0, t
+    if not fast_path:
+        ranks = np.arange(1, mag.shape[0] + 1)
+        passing = np.flatnonzero(mu - (cs - d) / ranks > 0)
+        rho = int(passing[-1]) + 1 if passing.size else 1
+        threshold = (cs[rho - 1] - d) / rho
+    w_p = np.sign(band) * np.maximum(mag - threshold, 0.0)
+    return w_p, float(d), float(threshold), rho, bool(fast_path)

@@ -184,6 +184,7 @@ def test_experiment_deterministic_and_json(tmp_path, capsys):
 
 
 def test_experiment_failure_exit_code(tmp_path, capsys):
+    # A depth the length does not allow is a runtime failure of the cell.
     rc = run(
         [
             "experiment",
@@ -191,13 +192,21 @@ def test_experiment_failure_exit_code(tmp_path, capsys):
             "--noise", "0.2",
             "--method", "pes-wavelet",
             "--trials", "1",
-            "--bank", "nope",
+            "--levels", "10",
             "--n", "512",
             "--out", str(tmp_path / "x"),
         ]
     )
     assert rc == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and "not divisible by 2^10" in err
+
+
+def test_experiment_rejects_an_unknown_bank(tmp_path, capsys):
+    # Refused when the config is built, not once per cell at run time.
+    argv = ["experiment", "--signal", "cusp", "--noise", "0.2", "--trials", "1", "--n", "512"]
+    assert run(argv + ["--bank", "nope", "--out", str(tmp_path / "x")]) == 2
+    assert "unknown filter bank 'nope'" in capsys.readouterr().err
 
 
 def test_experiment_rejects_a_negative_seed(capsys):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from pes_denoise import harness
 from pes_denoise.denoise import DenoiseConfig
 from pes_denoise.harness import (
     CSV_HEADER,
@@ -18,6 +19,7 @@ from pes_denoise.harness import (
     parse_csv,
     run_experiment,
 )
+from pes_denoise.signals import NoiseSpec, add_gaussian_noise, generate_test_signal
 
 SMALL = ExperimentSpec(
     signals=("heavy-sine",),
@@ -52,6 +54,50 @@ def test_rows_are_ordered_and_labeled():
     assert row.signal == "heavy-sine" and row.fraction == 0.2 and row.trials == 5
     # both methods summarize the identical noisy instances
     assert report.rows[0].mean_input_snr_db == report.rows[1].mean_input_snr_db
+
+
+def test_cells_share_one_noise_draw_and_one_depth_plan(monkeypatch):
+    # The unit noise is drawn once per experiment and each cell's depths are
+    # selected once per spectrum setting; neither may change a noisy row.
+    spec = ExperimentSpec(
+        signals=("heavy-sine", "bumps"),
+        noise_fractions=(0.1, 0.3),
+        trials=4,
+        methods=(
+            DenoiseConfig(method="pes-pyramid"),
+            DenoiseConfig(method="universal", levels=3),
+            DenoiseConfig(method="three-sigma"),
+            DenoiseConfig(method="pes-wavelet", alpha=4.0),
+        ),
+        base_seed=7,
+        n=256,
+    )
+    seen, plans = [], []
+    denoise, select_levels = harness.denoise, harness.select_levels
+
+    def recording_denoise(x, cfg, spectrum_levels=None):
+        seen.append((x, cfg, spectrum_levels))
+        return denoise(x, cfg, spectrum_levels)
+
+    def recording_select_levels(x, alpha, smooth_window):
+        plans.append((alpha, smooth_window))
+        return select_levels(x, alpha, smooth_window)
+
+    monkeypatch.setattr(harness, "denoise", recording_denoise)
+    monkeypatch.setattr(harness, "select_levels", recording_select_levels)
+    report = run_experiment(spec)
+    assert not report.errors
+    assert len(seen) == 4 * 4 and sorted(plans) == sorted([(3.0, 9), (4.0, 9)] * 4)
+    cells = [(s, f) for s in spec.signals for f in spec.noise_fractions]
+    for (signal, fraction), calls in zip(cells, np.split(np.arange(len(seen)), 4)):
+        clean = generate_test_signal(signal, spec.n)
+        for i in calls:
+            x, cfg, levels = seen[i]
+            for t in range(spec.trials):
+                expected = add_gaussian_noise(clean, NoiseSpec(fraction, spec.base_seed + t))
+                assert np.array_equal(x[t], expected)
+            if cfg.levels is None:
+                assert np.array_equal(levels, select_levels(x, cfg.alpha, cfg.smooth_window))
 
 
 def test_pyramid_beats_input_snr_by_wide_margin():
@@ -134,17 +180,19 @@ def test_summarize_excludes_infinite_sentinels():
 
 
 def test_cell_errors_are_recorded_not_raised():
+    # A depth the length does not allow fails only when the cell runs.
     spec = ExperimentSpec(
         signals=("blocks",),
         noise_fractions=(0.2,),
         trials=2,
-        methods=(DenoiseConfig(method="pes-wavelet", bank="nope"),),
+        methods=(DenoiseConfig(method="pes-wavelet", levels=10),),
         n=512,
     )
     report = run_experiment(spec)
     assert report.rows == ()
     assert len(report.errors) == 1
     assert report.errors[0].startswith("blocks/0.2:")
+    assert "not divisible by 2^10" in report.errors[0]
 
 
 def test_emit_csv_shapes():

@@ -8,11 +8,13 @@ fast path is cross-checked against a bisection on mu solving
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import bisect
 
+from oracles import full_sort_rule
 from pes_denoise.projections import (
+    _BLOCK_ELEMENTS,
     project_epigraph_l1,
     project_epigraph_bands,
     project_l1_ball,
@@ -325,30 +327,40 @@ def _band(rng: np.random.Generator, kind: str, k: int) -> np.ndarray:
         return band
     if kind == "no-flip":
         return rng.choice([-1.0, 1.0], k) * (1.0 + (0.1 / k) * rng.uniform(-1.0, 1.0, k))
+    if kind == "tied":  # every nonzero entry tied, so every one is a candidate
+        return rng.choice([-1.0, 0.0, 1.0], k) * rng.uniform(0.1, 10.0)
     return np.zeros(k)
 
 
-# A band of 2100 or 4500 entries makes a block of 7 or 3 rows, so larger
-# row counts cross block boundaries.
-@settings(max_examples=40, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    lengths=st.lists(st.integers(1, 40), min_size=1, max_size=5),
-    long_band=st.sampled_from([0, 2100, 4500]),
-    rows=st.integers(1, 12),
-    strict=st.booleans(),
-)
-@example(seed=3, lengths=[3, 1], long_band=4500, rows=12, strict=False)
-@example(seed=4, lengths=[1, 2], long_band=2100, rows=8, strict=True)
-def test_segmented_kernel_equals_band_by_band(seed, lengths, long_band, rows, strict):
+_KINDS = ("normal", "ties", "zeros", "no-flip", "all-zero")
+# A band of a seventh or a third of a block's elements makes blocks of 6 or
+# 2 rows, so larger row counts cross block boundaries.
+_SEVENTH, _THIRD = _BLOCK_ELEMENTS // 7, _BLOCK_ELEMENTS // 3
+
+
+def _rows_of_bands(seed, lengths, long_band, rows, kinds):
     rng = np.random.default_rng(seed)
     if long_band:
         lengths = [*lengths, long_band]
         rng.shuffle(lengths)
-    kinds = ("normal", "ties", "zeros", "no-flip", "all-zero")
     w = np.stack(
         [np.concatenate([_band(rng, rng.choice(kinds), k) for k in lengths]) for _ in range(rows)]
     )
+    return w, lengths
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lengths=st.lists(st.integers(1, 40), min_size=1, max_size=5),
+    long_band=st.sampled_from([0, _SEVENTH, _THIRD]),
+    rows=st.integers(1, 12),
+    strict=st.booleans(),
+)
+@example(seed=3, lengths=[3, 1], long_band=_THIRD, rows=12, strict=False)
+@example(seed=4, lengths=[1, 2], long_band=_SEVENTH, rows=8, strict=True)
+def test_segmented_kernel_equals_band_by_band(seed, lengths, long_band, rows, strict):
+    w, lengths = _rows_of_bands(seed, lengths, long_band, rows, _KINDS)
     got = project_epigraph_bands(w, lengths, strict)
     assert got.w_p.shape == w.shape
     assert got.d.shape == got.threshold.shape == got.fast_path.shape == (rows, len(lengths))
@@ -368,6 +380,69 @@ def test_segmented_kernel_equals_band_by_band(seed, lengths, long_band, rows, st
             assert np.max(np.abs(soft_threshold(band, got.threshold[t, b]) - one.w_p)) < 1e-12
             if one.fast_path:
                 assert abs(got.threshold[t, b] - one.z_p) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lengths=st.lists(st.integers(1, 40), min_size=1, max_size=5),
+    long_band=st.sampled_from([0, _THIRD]),
+    rows=st.integers(1, 5),
+    strict=st.booleans(),
+)
+@example(seed=5, lengths=[7, 1], long_band=_THIRD, rows=5, strict=False)
+@example(seed=6, lengths=[40], long_band=_THIRD, rows=3, strict=True)
+def test_segmented_kernel_matches_the_full_sort_oracle(seed, lengths, long_band, rows, strict):
+    # The kernel sorts only each band's candidates; the oracle sorts it all.
+    w, lengths = _rows_of_bands(seed, lengths, long_band, rows, (*_KINDS, "tied"))
+    got = project_epigraph_bands(w, lengths, strict)
+    ends = np.cumsum(lengths)
+    for t in range(rows):
+        for b, (start, end) in enumerate(zip(ends - lengths, ends)):
+            band = w[t, start:end]
+            w_p, d, threshold, rho, fast_path = full_sort_rule(band, strict)
+            # d = l1 - nnz*t cancels, so its rounding error scales with l1.
+            tol = 1e-12 * max(1.0, float(np.abs(band).sum()))
+            assert np.max(np.abs(got.w_p[t, start:end] - w_p)) <= tol
+            assert abs(got.d[t, b] - d) <= tol
+            assert abs(got.threshold[t, b] - threshold) <= tol
+            assert got.rho[t, b] == rho
+            assert got.fast_path[t, b] == fast_path
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 60),
+    kind=st.sampled_from(["normal", "ties", "zeros", "no-flip", "tied"]),
+    frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    below_ulp=st.booleans(),
+)
+@example(seed=0, k=9, kind="tied", frac=0.5, below_ulp=True)
+def test_ball_projection_matches_the_full_sort_oracle(seed, k, kind, frac, below_ulp):
+    band = _band(np.random.default_rng(seed), kind, k)
+    l1 = float(np.abs(band).sum())
+    assume(l1 > 0.0)
+    # Below one ulp of the largest magnitude, mu_1 - d rounds to mu_1.
+    d = 0.3 * float(np.spacing(np.abs(band).max())) if below_ulp else frac * l1
+    assume(d > 0.0)  # d = 0 has no rule; project_l1_ball returns zeros there
+    got = project_l1_ball(band, d)
+    w_p, _, theta, rho, _ = full_sort_rule(band, d=d)
+    assert np.max(np.abs(got.w_p - w_p)) <= 1e-12
+    assert abs(got.theta - theta) <= 1e-12
+    assert got.rho == rho
+
+
+def test_non_finite_rows_do_not_stop_the_block():
+    # A row with an infinite entry has no candidates to sort, alone in its
+    # block or beside rows that still get their projections.
+    w = np.array([[np.inf, 1.0, -2.0, 0.5], [3.0, -1.0, 0.5, 0.25]])
+    with np.errstate(invalid="ignore"):
+        alone = project_epigraph_bands(w[:1])
+        got = project_epigraph_bands(w)
+    one = project_epigraph_l1(w[1])
+    assert np.isnan(alone.d[0, 0]) and np.isnan(got.d[0, 0])
+    assert np.array_equal(got.w_p[1], one.w_p) and got.d[1, 0] == one.d
 
 
 def test_segmented_kernel_validates_its_layout():

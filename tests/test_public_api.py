@@ -80,6 +80,15 @@ def test_spectrum_parameters_are_pinned():
     assert list(inspect.signature(pes_denoise.levels_for_bandwidth).parameters) == ["omega0"]
 
 
+def test_denoise_parameters_are_pinned():
+    # perfbench/tracer.py binds denoise's argument `cfg` by name.
+    assert list(inspect.signature(pes_denoise.denoise).parameters) == [
+        "x",
+        "cfg",
+        "spectrum_levels",
+    ]
+
+
 def test_every_public_name_resolves():
     namespace: dict = {}
     exec("from pes_denoise import *", namespace)
