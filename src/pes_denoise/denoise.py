@@ -18,7 +18,8 @@ from numbers import Integral
 
 import numpy as np
 
-from .projections import project_epigraph_bands, soft_threshold
+from ._workspace import scratch
+from .projections import _project, soft_threshold
 from .spectrum import (
     DEFAULT_ALPHA,
     DEFAULT_SMOOTH_WINDOW,
@@ -29,14 +30,14 @@ from .spectrum import (
 )
 from .transforms import (
     DEFAULT_BANK,
+    _block_rows,
+    _fill_lows,
     default_cutoffs,
     dwt_analysis,
     dwt_synthesis,
     feasible_levels,
     get_filter_bank,
-    pyramid_analysis,
     pyramid_max_levels,
-    pyramid_synthesis,
 )
 
 METHODS = ("pes-wavelet", "pes-pyramid", "universal", "three-sigma")
@@ -132,13 +133,33 @@ def _wavelet(x: np.ndarray, cfg: DenoiseConfig, spectrum_levels, shrink) -> np.n
 
 
 def _pyramid(x: np.ndarray, cfg: DenoiseConfig, spectrum_levels) -> np.ndarray:
-    """Pyramid analysis, every stage's highband shrunk by projection, synthesis."""
+    """Pyramid analysis, every stage's highband shrunk by projection, synthesis.
+
+    The same arithmetic as pyramid_analysis, project_epigraph_bands and
+    pyramid_synthesis, done in blocks of rows inside one band stack from
+    the thread's workspace: each stage's lowband is overwritten by its
+    highband, which is then shrunk in place.
+    """
 
     def run(rows: np.ndarray, levels: int) -> np.ndarray:
-        pyramid = pyramid_analysis(rows, default_cutoffs(levels), cfg.taps)
-        highs = pyramid.highs.reshape(-1, rows.shape[-1])  # every stage's rows at once
-        shrunk = project_epigraph_bands(highs, None, cfg.strict_paper_mode).w_p
-        return pyramid_synthesis(pyramid, shrunk.reshape(pyramid.highs.shape))
+        n = rows.shape[-1]
+        cutoffs = default_cutoffs(levels)
+        out = np.empty_like(rows)
+        block = _block_rows(levels, n)
+        for r0 in range(0, rows.shape[0], block):
+            x, y = rows[r0:r0 + block], out[r0:r0 + block]
+            bands = scratch("bands", (levels, *x.shape))
+            _fill_lows(x, cutoffs, cfg.taps, bands)
+            y[...] = bands[-1]  # the deepest lowband passes through
+            # Deepest first, so that no lowband is read after it is overwritten.
+            for k in range(levels - 1, 0, -1):
+                np.subtract(bands[k - 1], bands[k], out=bands[k])
+            np.subtract(x, bands[0], out=bands[0])
+            highs = bands.reshape(-1, n)  # every stage's rows at once
+            _project(highs, (n,), cfg.strict_paper_mode, None, out=highs)
+            for high in bands[::-1]:  # coarsest first, as pyramid_synthesis sums
+                y += high
+        return out
 
     return _by_depth(x, cfg, spectrum_levels, run)
 
@@ -154,7 +175,7 @@ def _epigraph_shrink(
     details: np.ndarray, lengths: tuple[int, ...], n: int, cfg: DenoiseConfig
 ) -> np.ndarray:
     """Each band's own threshold, from its epigraph projection."""
-    return project_epigraph_bands(details, lengths, cfg.strict_paper_mode).w_p
+    return _project(details, lengths, cfg.strict_paper_mode, None).w_p
 
 
 def _universal_shrink(

@@ -10,7 +10,9 @@ Every projection runs through one segmented kernel,
 :func:`project_epigraph_bands`: the last axis of a (T, N) array
 concatenates bands of given lengths, and each (row, band) pair is
 projected on its own, all in one call.  The 1-D functions are the case
-of one row and one band.
+of one row and one band.  The public functions refuse NaN and infinite
+entries; denoise, which has checked its own input, calls the kernel
+directly.
 """
 
 from __future__ import annotations
@@ -20,12 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._workspace import BLOCK_ELEMENTS, scratch
+
 _SIGN_TIE_TOL = 1e-12
-# Rows are projected in blocks of about this many elements.  Every block
-# repeats the kernel's numpy calls, so blocks are large: 2^16 elements hold
-# the 40-60 pyramid highband rows of ten 1024-sample signals at once, in
-# three buffers of 1.1 MB together.
-_BLOCK_ELEMENTS = 1 << 16
 # Rounding margin of the candidate floor, per entry of a band and per unit
 # of its l1 mass: an upper bound on the error of the sorted rule's test
 # (see _sorted_rule).
@@ -76,15 +75,26 @@ class BandProjection:
 
 
 @functools.lru_cache(maxsize=64)
-def _layout(lengths: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _layout(lengths: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """Read-only arrays of a band layout along the last axis: (lengths,
-    starts, each band's rounding margin per unit of l1 mass)."""
+    starts, each band's rounding margin per unit of l1 mass, each entry's
+    band)."""
     sizes = np.array(lengths)
     starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
     margin = _FLOOR_MARGIN * sizes
-    for array in (sizes, starts, margin):
+    band = np.repeat(np.arange(sizes.shape[0]), sizes)
+    for array in (sizes, starts, margin, band):
         array.flags.writeable = False
-    return sizes, starts, margin
+    return sizes, starts, margin, band
+
+
+def _per_entry(values: np.ndarray, band: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(rows, B) values of each (row, band) at every entry of its band: the
+    (rows, 1) column itself where there is one band, which broadcasts, or
+    written into out, a (rows, N) buffer."""
+    if values.shape[-1] == 1:
+        return values
+    return np.take(values, band, axis=-1, out=out, mode="clip")
 
 
 def _sorted_rule(
@@ -92,12 +102,14 @@ def _sorted_rule(
     l1: np.ndarray,
     d: np.ndarray,
     skip: np.ndarray,
-    layout: tuple[np.ndarray, np.ndarray, np.ndarray],
+    layout: tuple[np.ndarray, ...],
     flag: np.ndarray,
+    spread: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(theta, rho) of the sorted rule at ball sizes d, for every (row, band)
     of a block of magnitudes; (T, B) arrays whose entries where skip is set
-    are to be discarded.  flag is a boolean work buffer of mag's shape.
+    are to be discarded.  flag and spread are boolean and float work
+    buffers of mag's shape.
 
     The sorted rule of Duchi et al. 2008 ("Efficient projections onto the
     l1-ball"): with the descending magnitudes mu_1 >= ... of a band,
@@ -115,10 +127,10 @@ def _sorted_rule(
     are bit for bit those of the whole sorted band: theta and rho are
     exactly the full-sort rule's for the same d.
     """
-    sizes, starts, margin = layout
+    _, starts, margin, band = layout
     floor = np.maximum.reduceat(mag, starts, axis=-1) - (d + margin * l1)
     floor[skip] = np.inf
-    np.greater_equal(mag, np.repeat(floor, sizes, axis=-1), out=flag)
+    np.greater_equal(mag, _per_entry(floor, band, spread), out=flag)
     counts = np.add.reduceat(flag, starts, axis=-1, dtype=np.intp).reshape(-1, 1)
     # One row per (row, band): its candidates, then -inf, which no test
     # passes at.  A NaN floor (from non-finite input) admits no candidate;
@@ -136,48 +148,67 @@ def _sorted_rule(
 
 
 def _project(
-    w: np.ndarray, lengths: tuple[int, ...], strict_paper_mode: bool, ball: np.ndarray | None
+    w: np.ndarray,
+    lengths: tuple[int, ...],
+    strict_paper_mode: bool,
+    ball: np.ndarray | None,
+    out: np.ndarray | None = None,
 ) -> BandProjection:
     """The segmented kernel behind every projection in this module.
 
     With ball=None each (row, band) gets its epigraph projection; with a
     (T, B) array of positive ball sizes, its projection onto that l1 ball.
+    The projected bands are written into out, a fresh array by default;
+    out may be w itself.  w is not checked: non-finite entries give
+    meaningless numbers for their own (row, band) only.
 
-    Each band's l1 mass, nonzero count and smallest nonzero magnitude come
-    from reductions in index order; only the bands that need the sorted
-    rule sort anything, and only their candidates (see _sorted_rule).
+    Each band's l1 mass and smallest magnitude come from reductions in
+    index order, and its nonzero count and smallest nonzero magnitude from
+    two more only where some band of the block has a zero entry.  Only the
+    bands that need the sorted rule sort anything, and only their
+    candidates (see _sorted_rule).  The block buffers come from the
+    thread's workspace.
     """
     layout = _layout(lengths)
-    sizes, starts, _ = layout
+    sizes, starts, _, band = layout
     rows, n = w.shape
     shape = (rows, sizes.shape[0])
     result = BandProjection(
-        w_p=np.empty_like(w),
+        w_p=np.empty_like(w) if out is None else out,
         d=np.empty(shape),
         threshold=np.empty(shape),
         fast_path=np.empty(shape, dtype=bool),
         rho=np.empty(shape, dtype=np.intp),
     )
-    block = min(rows, max(1, _BLOCK_ELEMENTS // n))
-    buffers = (np.empty((block, n)), np.empty((block, n)), np.empty((block, n), dtype=bool))
+    block = min(rows, max(1, BLOCK_ELEMENTS // n))
     for r0 in range(0, rows, block):
         wb = w[r0:r0 + block]
-        mag, tmp, flag = (buffer[: wb.shape[0]] for buffer in buffers)
-        np.abs(wb, out=mag)
+        mag = np.abs(wb, out=scratch("mag", wb.shape))
+        tmp = scratch("tmp", wb.shape)
+        flag = scratch("flag", wb.shape, bool)
         l1 = np.add.reduceat(mag, starts, axis=-1)
         if ball is None:
-            np.not_equal(mag, 0.0, out=flag)
-            nnz = np.add.reduceat(flag, starts, axis=-1, dtype=np.intp)
-            t = l1 / ((sizes if strict_paper_mode else nnz) + 1)
-            d = l1 - nnz * t
+            smallest = np.minimum.reduceat(mag, starts, axis=-1)
+            nnz = sizes
+            if not smallest.all():
+                np.not_equal(mag, 0.0, out=flag)
+                nnz = np.add.reduceat(flag, starts, axis=-1, dtype=np.intp)
+                # The bits of nonnegative doubles order as the doubles do,
+                # and 0 - 1 wraps to the largest integer, so the minimum of
+                # bits - 1 skips the zeros; an all-zero band gets 0 back,
+                # and has t = 0.
+                bits = tmp.view(np.uint64)
+                np.subtract(mag.view(np.uint64), 1, out=bits)
+                smallest = (np.minimum.reduceat(bits, starts, axis=-1) + 1).view(float)
+            # t = l1/(M+1) and d = l1 - nnz*t, the latter written so that
+            # it does not cancel: d = t when M = nnz.
+            if strict_paper_mode:
+                t = l1 / (sizes + 1)
+                d = l1 * (sizes + 1 - nnz) / (sizes + 1)
+            else:
+                t = d = l1 / (nnz + 1)
             # w_p = sign(w) * (|w| - t) on the boundary hyperplane, so a
-            # nonzero entry's sign flips where t exceeds its magnitude.  The
-            # bits of nonnegative doubles order as the doubles do, and 0 - 1
-            # wraps to the largest integer, so the minimum of bits - 1 skips
-            # the zeros; an all-zero band gets 0 back, and has t = 0.
-            bits = tmp.view(np.uint64)
-            np.subtract(mag.view(np.uint64), 1, out=bits)
-            smallest = (np.minimum.reduceat(bits, starts, axis=-1) + 1).view(float)
+            # nonzero entry's sign flips where t exceeds its magnitude.
             fast = t - smallest <= _SIGN_TIE_TOL
         else:
             d = ball[r0:r0 + block]
@@ -185,10 +216,10 @@ def _project(
             fast = np.zeros(d.shape, dtype=bool)
         threshold, rho = t, np.zeros(d.shape, dtype=np.intp)
         if not fast.all():
-            theta, kept = _sorted_rule(mag, l1, d, fast, layout, flag)
+            theta, kept = _sorted_rule(mag, l1, d, fast, layout, flag, tmp)
             threshold = np.where(fast, t, theta)
             rho = np.where(fast, 0, kept)
-        np.subtract(mag, np.repeat(threshold, sizes, axis=-1), out=tmp)
+        np.subtract(mag, _per_entry(threshold, band, tmp), out=tmp)
         np.maximum(tmp, 0.0, out=tmp)
         np.copysign(tmp, wb, out=result.w_p[r0:r0 + block])  # soft(w, threshold)
         result.d[r0:r0 + block] = d
@@ -207,8 +238,9 @@ def project_epigraph_bands(
     length N by default); each (row, band) pair is projected as
     :func:`project_epigraph_l1` projects a 1-D band.  An all-zero band has
     nothing to threshold and passes through unchanged on the fast path.
+    Raises ValueError on NaN or infinite entries.
     """
-    w = np.asarray(w, dtype=float)
+    w = _finite(w)
     if w.ndim != 2:
         raise ValueError(f"expected a (T, N) array, got shape {w.shape}")
     lengths = (w.shape[-1],) if lengths is None else tuple(int(k) for k in lengths)
@@ -219,8 +251,15 @@ def project_epigraph_bands(
     return _project(w, lengths, strict_paper_mode, None)
 
 
-def _as_band(w: np.ndarray) -> np.ndarray:
+def _finite(w: np.ndarray) -> np.ndarray:
     w = np.asarray(w, dtype=float)
+    if not np.isfinite(w).all():
+        raise ValueError("input contains NaN or infinite entries")
+    return w
+
+
+def _as_band(w: np.ndarray) -> np.ndarray:
+    w = _finite(w)
     if w.ndim != 1:
         raise ValueError(f"expected a 1-D band, got shape {w.shape}")
     return w
@@ -264,7 +303,7 @@ def project_epigraph_l1(w: np.ndarray, strict_paper_mode: bool = False) -> Epigr
     w = _as_band(w)
     if not np.any(w):
         raise ValueError("epigraph projection undefined for an all-zero band")
-    result = project_epigraph_bands(w[None, :], None, strict_paper_mode)
+    result = _project(w[None, :], (w.shape[0],), strict_paper_mode, None)
     w_p = result.w_p[0]
     fast_path = bool(result.fast_path[0, 0])
     z_p = float(result.threshold[0, 0]) if fast_path else float(np.abs(w_p).sum())

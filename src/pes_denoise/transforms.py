@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._workspace import BLOCK_ELEMENTS, scratch
+
 
 @dataclass(frozen=True)
 class FilterBank:
@@ -248,10 +250,16 @@ def _cascade_spectra(cutoffs: tuple[float, ...], taps: int, n: int) -> tuple[np.
     return (*shallower, spectrum)
 
 
-def pyramid_analysis(x: np.ndarray, cutoffs: list[float], taps: int = 129) -> PyramidSet:
-    """Lowbands of every stage from one rfft and one batched irfft, and
-    highbands by subtraction from the previous stage's lowband."""
-    x = np.asarray(x, dtype=float)
+def _block_rows(levels: int, n: int) -> int:
+    """Rows per block of an L-stage pyramid at length n: L*rows*n values
+    fill about one workspace block."""
+    return max(1, BLOCK_ELEMENTS // (levels * n))
+
+
+def _fill_lows(x: np.ndarray, cutoffs: list[float], taps: int, out: np.ndarray) -> None:
+    """Write every stage's lowband of x, a (T, n) array, into out, an
+    (L, T, n) array: one rfft per row and one batched irfft per block of
+    rows, with the spectra in the thread's workspace."""
     n = x.shape[-1]
     if not cutoffs:
         raise ValueError("need at least one cutoff")
@@ -262,12 +270,28 @@ def pyramid_analysis(x: np.ndarray, cutoffs: list[float], taps: int = 129) -> Py
             f"cutoff {cutoffs[-1]:.6g} is below the DFT bin spacing 2*pi/{n}: "
             f"an octave pyramid at length {n} has at most {pyramid_max_levels(n)} stages"
         )
-    spectrum = np.fft.rfft(x, axis=-1)
-    product = np.empty((len(cutoffs), *spectrum.shape), dtype=spectrum.dtype)
-    for cascade, out in zip(_cascade_spectra(tuple(cutoffs), taps, n), product):
-        np.multiply(spectrum, cascade, out=out)
-    del spectrum  # not kept alive beside the irfft's buffers
-    lows = np.fft.irfft(product, n, axis=-1)
+    cascades = _cascade_spectra(tuple(cutoffs), taps, n)
+    block = _block_rows(len(cascades), n)
+    for r0 in range(0, x.shape[0], block):
+        rows = x[r0:r0 + block]
+        spectrum = scratch("spectrum", (rows.shape[0], n // 2 + 1), complex)
+        np.fft.rfft(rows, axis=-1, out=spectrum)
+        product = scratch("product", (len(cascades), *spectrum.shape), complex)
+        for cascade, stage in zip(cascades, product):
+            np.multiply(spectrum, cascade, out=stage)
+        np.fft.irfft(product, n, axis=-1, out=out[:, r0:r0 + block])
+
+
+def pyramid_analysis(x: np.ndarray, cutoffs: list[float], taps: int = 129) -> PyramidSet:
+    """Lowbands of every stage from one rfft and one batched irfft per
+    block of rows, and highbands by subtraction from the previous stage's
+    lowband."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    rows = x.reshape(-1, n)
+    lows = np.empty((len(cutoffs), *rows.shape))
+    _fill_lows(rows, cutoffs, taps, lows)
+    lows = lows.reshape(len(cutoffs), *x.shape)
     highs = np.empty_like(lows)
     np.subtract(x, lows[0], out=highs[0])
     np.subtract(lows[:-1], lows[1:], out=highs[1:])

@@ -32,7 +32,7 @@ def full_sort_rule(
 
     With d=None, the epigraph projection: t = l1/(M+1) with l1 the band's
     correctly rounded l1 mass, M the nonzero count (the band length in
-    strict mode), d = l1 - nnz*t, and the fast
+    strict mode), d = l1 - nnz*t = l1*(M+1-nnz)/(M+1), and the fast
     path wherever t exceeds no nonzero magnitude by more than 1e-12.  With
     a ball size d, the projection onto that l1 ball, which never takes the
     fast path.  Elsewhere the sorted rule of Duchi et al. (2008) runs on
@@ -47,8 +47,9 @@ def full_sort_rule(
     if d is None:
         nnz = int(np.count_nonzero(mag))
         l1 = math.fsum(mag)
-        t = l1 / ((mag.shape[0] if strict_paper_mode else nnz) + 1)
-        d = l1 - nnz * t
+        m = mag.shape[0] if strict_paper_mode else nnz
+        t = l1 / (m + 1)
+        d = l1 * (m + 1 - nnz) / (m + 1)
         fast_path = nnz == 0 or t - mu[nnz - 1] <= 1e-12
     rho, threshold = 0, t
     if not fast_path:
@@ -58,3 +59,18 @@ def full_sort_rule(
         threshold = (cs[rho - 1] - d) / rho
     w_p = np.sign(band) * np.maximum(mag - threshold, 0.0)
     return w_p, float(d), float(threshold), rho, bool(fast_path)
+
+
+def cone_projection(band: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """The exact Euclidean projection of (band, 0) onto the l1 norm cone
+    {(u, z) : ||u||_1 <= z}: (u, z, the number of entries kept).
+
+    With the descending magnitudes mu_1 >= ... of a nonzero band, the
+    projection is (soft(band, z), z) with z = sum_{j<=rho} mu_j / (rho+1)
+    and rho the last j with mu_j > sum_{r<=j} mu_r / (j+1).
+    """
+    mag = np.abs(np.asarray(band, dtype=float))
+    mu = np.sort(mag)[::-1]
+    z = [math.fsum(mu[:j]) / (j + 1) for j in range(1, mu.shape[0] + 1)]
+    rho = max(j for j in range(1, mu.shape[0] + 1) if j == 1 or mu[j - 1] > z[j - 1])
+    return np.sign(band) * np.maximum(mag - z[rho - 1], 0.0), z[rho - 1], rho

@@ -6,15 +6,18 @@ fast path is cross-checked against a bisection on mu solving
 ||soft(w, mu)||_1 = mu, which is the exact projection height.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import bisect
 
-from oracles import full_sort_rule
+from oracles import cone_projection, full_sort_rule
+from pes_denoise._workspace import BLOCK_ELEMENTS
 from pes_denoise.projections import (
-    _BLOCK_ELEMENTS,
+    _project,
     project_epigraph_l1,
     project_epigraph_bands,
     project_l1_ball,
@@ -335,7 +338,7 @@ def _band(rng: np.random.Generator, kind: str, k: int) -> np.ndarray:
 _KINDS = ("normal", "ties", "zeros", "no-flip", "all-zero")
 # A band of a seventh or a third of a block's elements makes blocks of 6 or
 # 2 rows, so larger row counts cross block boundaries.
-_SEVENTH, _THIRD = _BLOCK_ELEMENTS // 7, _BLOCK_ELEMENTS // 3
+_SEVENTH, _THIRD = BLOCK_ELEMENTS // 7, BLOCK_ELEMENTS // 3
 
 
 def _rows_of_bands(seed, lengths, long_band, rows, kinds):
@@ -401,7 +404,8 @@ def test_segmented_kernel_matches_the_full_sort_oracle(seed, lengths, long_band,
         for b, (start, end) in enumerate(zip(ends - lengths, ends)):
             band = w[t, start:end]
             w_p, d, threshold, rho, fast_path = full_sort_rule(band, strict)
-            # d = l1 - nnz*t cancels, so its rounding error scales with l1.
+            # The kernel's l1 mass is not correctly rounded, so the
+            # rounding error of every derived number scales with l1.
             tol = 1e-12 * max(1.0, float(np.abs(band).sum()))
             assert np.max(np.abs(got.w_p[t, start:end] - w_p)) <= tol
             assert abs(got.d[t, b] - d) <= tol
@@ -434,15 +438,68 @@ def test_ball_projection_matches_the_full_sort_oracle(seed, k, kind, frac, below
 
 
 def test_non_finite_rows_do_not_stop_the_block():
-    # A row with an infinite entry has no candidates to sort, alone in its
-    # block or beside rows that still get their projections.
-    w = np.array([[np.inf, 1.0, -2.0, 0.5], [3.0, -1.0, 0.5, 0.25]])
+    # The kernel does not check its input (denoise already has).  A row
+    # with an infinite or NaN entry gets a meaningless projection, alone in
+    # its block or beside rows that still get theirs.
+    w = np.array([[np.inf, 1.0, -2.0, 0.5], [np.nan, 1.0, -2.0, 0.5], [3.0, -1.0, 0.5, 0.25]])
     with np.errstate(invalid="ignore"):
-        alone = project_epigraph_bands(w[:1])
-        got = project_epigraph_bands(w)
-    one = project_epigraph_l1(w[1])
-    assert np.isnan(alone.d[0, 0]) and np.isnan(got.d[0, 0])
-    assert np.array_equal(got.w_p[1], one.w_p) and got.d[1, 0] == one.d
+        alone = [_project(w[t:t + 1], (4,), False, None) for t in (0, 1)]
+        got = _project(w, (4,), False, None)
+    one = project_epigraph_l1(w[2])
+    assert not np.isfinite([alone[0].d[0, 0], alone[1].d[0, 0], *got.d[:2, 0]]).any()
+    assert np.array_equal(got.w_p[2], one.w_p) and got.d[2, 0] == one.d
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_public_projections_refuse_non_finite_input(bad):
+    band = np.array([bad, 1.0, -2.0, 0.5])
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        project_l1_ball(band, 1.0)
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        project_epigraph_l1(band)
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        project_epigraph_bands(np.stack([band[::-1], band]), (2, 2))
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_derived_ball_size_does_not_cancel(strict):
+    # 7,000 tied nonzero entries in a 21,845-entry band: d = l1 - nnz*t
+    # came out about 1.6e-12 away from l1/(nnz+1), its rounding error
+    # scaling with l1 rather than with d.
+    rng = np.random.default_rng(21845)
+    band = np.zeros(21845)
+    band[rng.choice(band.shape[0], 7000, replace=False)] = 0.78873
+    band *= rng.choice([-1.0, 1.0], band.shape[0])
+    l1, nnz, m = math.fsum(np.abs(band)), 7000, band.shape[0]
+    want = l1 * (m + 1 - nnz) / (m + 1) if strict else l1 / (nnz + 1)
+    got = project_epigraph_l1(band, strict_paper_mode=strict).d
+    assert abs(got - want) <= 4 * np.spacing(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 200),
+    spread=st.floats(0.0, 2.0),
+    zeros=st.floats(0.0, 0.9),
+    scale=st.floats(1e-3, 1e3),
+)
+@example(seed=0, k=1, spread=0.0, zeros=0.0, scale=1.0)
+def test_fast_path_is_the_exact_cone_projection(seed, k, spread, zeros, scale):
+    # Where no sign flips, the two-step projection is the exact Euclidean
+    # projection of (w, 0) onto the cone {(u, z) : ||u||_1 <= z}, zeros
+    # and all; spread/k near 1/k separates the fast bands from the others.
+    rng = np.random.default_rng(seed)
+    band = rng.choice([-scale, scale], k) * (1.0 + (spread / k) * rng.uniform(0.0, 1.0, k))
+    band[rng.uniform(size=k) < zeros] = 0.0
+    assume(band.any())
+    got = project_epigraph_l1(band)
+    assume(got.fast_path)
+    w_p, z, kept = cone_projection(band)
+    assert kept == np.count_nonzero(band)  # the cone keeps every nonzero entry too
+    tol = 1e-12 * max(1.0, float(np.abs(band).sum()))
+    assert np.max(np.abs(got.w_p - w_p)) <= tol
+    assert abs(got.z_p - z) <= tol
 
 
 def test_segmented_kernel_validates_its_layout():
