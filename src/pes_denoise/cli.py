@@ -19,6 +19,7 @@ import numpy as np
 from .denoise import METHODS, DenoiseConfig, clamp_depth, denoise
 from .harness import (
     DEFAULT_FRACTIONS,
+    DEFAULT_METHODS,
     DEFAULT_SIGNALS,
     ExperimentReport,
     ExperimentSpec,
@@ -188,7 +189,7 @@ def _cmd_spectrum(ns: argparse.Namespace) -> int:
 def _cmd_experiment(ns: argparse.Namespace) -> int:
     signals = tuple(ns.signal) if ns.signal is not None else DEFAULT_SIGNALS
     fractions = tuple(ns.noise) if ns.noise is not None else DEFAULT_FRACTIONS
-    method_names = tuple(ns.method) if ns.method is not None else METHODS
+    method_names = ns.method if ns.method is not None else [cfg.method for cfg in DEFAULT_METHODS]
     methods = tuple(_denoise_config(ns, m) for m in method_names)
     spec = ExperimentSpec(
         signals=signals,

@@ -14,23 +14,23 @@ signal is the case T = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from numbers import Integral
 
 import numpy as np
 
-from ._workspace import scratch
+from ._workspace import BLOCK_ELEMENTS, scratch
 from .projections import _project, soft_threshold
 from .spectrum import (
     DEFAULT_ALPHA,
     DEFAULT_SMOOTH_WINDOW,
     MAX_LEVELS,
+    _is_integer,
     check_spectrum_options,
     row_median,
     select_levels,
 )
 from .transforms import (
     DEFAULT_BANK,
-    _block_rows,
+    _cascade_spectra,
     _fill_lows,
     default_cutoffs,
     dwt_analysis,
@@ -40,7 +40,6 @@ from .transforms import (
     pyramid_max_levels,
 )
 
-METHODS = ("pes-wavelet", "pes-pyramid", "universal", "three-sigma")
 DEFAULT_TAPS = 129
 
 
@@ -59,11 +58,11 @@ class DenoiseConfig:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {', '.join(METHODS)}")
         get_filter_bank(self.bank)  # raises ValueError for an unknown bank
-        if self.levels is not None and (not isinstance(self.levels, Integral) or self.levels < 1):
+        if self.levels is not None and (not _is_integer(self.levels) or self.levels < 1):
             raise ValueError(f"levels must be an integer >= 1, got {self.levels}")
         if not self.gamma >= 0:
             raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
-        if not isinstance(self.taps, Integral) or self.taps < 3 or self.taps % 2 == 0:
+        if not _is_integer(self.taps) or self.taps < 3 or self.taps % 2 == 0:
             raise ValueError(f"taps must be an odd integer >= 3, got {self.taps}")
         # Checked here too, since an explicit depth never runs the spectrum.
         check_spectrum_options(self.alpha, self.smooth_window)
@@ -91,77 +90,42 @@ def clamp_depth(levels: int | np.ndarray, cfg: DenoiseConfig, n: int) -> int | n
     return np.minimum(levels, feasible_levels(n, MAX_LEVELS, get_filter_bank(cfg.bank).taps))
 
 
-def _by_depth(x: np.ndarray, cfg: DenoiseConfig, spectrum_levels, run) -> np.ndarray:
-    """run(rows, levels) over the rows of x, grouped by the depth denoise gives each.
+def _wavelet(rows: np.ndarray, levels: int, cfg: DenoiseConfig, shrink) -> np.ndarray:
+    """DWT of the (T, n) rows, shrink on the detail bands, inverse DWT.
 
-    spectrum_levels is None, or the (T,) spectrum depths of x's rows.
-    """
-    rows = np.atleast_2d(np.asarray(x, dtype=float))
-    if cfg.levels is not None:
-        depths = np.full(rows.shape[0], cfg.levels)
-    else:
-        if spectrum_levels is None:
-            spectrum_levels = select_levels(rows, cfg.alpha, cfg.smooth_window)
-        depths = clamp_depth(spectrum_levels, cfg, rows.shape[-1])
-    groups = sorted(set(depths.tolist()))
-    if len(groups) == 1:
-        # One depth for every row: no copies in and out of the groups.
-        return run(rows, groups[0]).reshape(np.shape(x))
-    out = np.empty_like(rows)
-    for levels in groups:
-        picked = depths == levels
-        out[picked] = run(rows[picked], levels)
-    return out.reshape(np.shape(x))
-
-
-def _wavelet(x: np.ndarray, cfg: DenoiseConfig, spectrum_levels, shrink) -> np.ndarray:
-    """DWT, shrink(details, lengths, n, cfg) on the detail bands, inverse DWT.
-
-    details is the (T, N) concatenation of the detail bands, finest
-    first, with lengths their band lengths; shrink returns its shrunk copy.
+    shrink gets the (T, N) concatenation of the detail bands, finest first.
     """
     bank = get_filter_bank(cfg.bank)
-
-    def run(rows: np.ndarray, levels: int) -> np.ndarray:
-        bands = dwt_analysis(rows, bank, levels)
-        lengths = tuple(band.shape[-1] for band in bands.details)
-        shrunk = shrink(np.concatenate(bands.details, axis=-1), lengths, rows.shape[-1], cfg)
-        details = np.split(shrunk, np.cumsum(lengths)[:-1], axis=-1)
-        return dwt_synthesis(replace(bands, details=details), bank)
-
-    return _by_depth(x, cfg, spectrum_levels, run)
+    bands = dwt_analysis(rows, bank, levels)
+    lengths = tuple(band.shape[-1] for band in bands.details)
+    shrunk = shrink(np.concatenate(bands.details, axis=-1), lengths, rows.shape[-1], cfg)
+    details = np.split(shrunk, np.cumsum(lengths)[:-1], axis=-1)
+    return dwt_synthesis(replace(bands, details=details), bank)
 
 
-def _pyramid(x: np.ndarray, cfg: DenoiseConfig, spectrum_levels) -> np.ndarray:
-    """Pyramid analysis, every stage's highband shrunk by projection, synthesis.
-
-    The same arithmetic as pyramid_analysis, project_epigraph_bands and
-    pyramid_synthesis, done in blocks of rows inside one band stack from
-    the thread's workspace: each stage's lowband is overwritten by its
-    highband, which is then shrunk in place.
-    """
-
-    def run(rows: np.ndarray, levels: int) -> np.ndarray:
-        n = rows.shape[-1]
-        cutoffs = default_cutoffs(levels)
-        out = np.empty_like(rows)
-        block = _block_rows(levels, n)
-        for r0 in range(0, rows.shape[0], block):
-            x, y = rows[r0:r0 + block], out[r0:r0 + block]
-            bands = scratch("bands", (levels, *x.shape))
-            _fill_lows(x, cutoffs, cfg.taps, bands)
-            y[...] = bands[-1]  # the deepest lowband passes through
-            # Deepest first, so that no lowband is read after it is overwritten.
-            for k in range(levels - 1, 0, -1):
-                np.subtract(bands[k - 1], bands[k], out=bands[k])
-            np.subtract(x, bands[0], out=bands[0])
-            highs = bands.reshape(-1, n)  # every stage's rows at once
-            _project(highs, (n,), cfg.strict_paper_mode, None, out=highs)
-            for high in bands[::-1]:  # coarsest first, as pyramid_synthesis sums
-                y += high
-        return out
-
-    return _by_depth(x, cfg, spectrum_levels, run)
+def _pyramid(rows: np.ndarray, levels: int, cfg: DenoiseConfig, shrink) -> np.ndarray:
+    """Pyramid analysis of the (T, n) rows, shrink on every stage's highband,
+    synthesis: the arithmetic of pyramid_analysis and pyramid_synthesis,
+    in blocks of rows inside one band stack from the thread's workspace.
+    Each stage's lowband is overwritten by its highband, and shrink gets
+    every highband of a block as one row of an (L*rows, n) array."""
+    n = rows.shape[-1]
+    cascades = _cascade_spectra(tuple(default_cutoffs(levels)), cfg.taps, n)
+    out = np.empty_like(rows)
+    block = max(1, BLOCK_ELEMENTS // (levels * n))  # L*block*n values fill about one block
+    for r0 in range(0, rows.shape[0], block):
+        x, y = rows[r0:r0 + block], out[r0:r0 + block]
+        bands = scratch("bands", (levels, *x.shape))
+        _fill_lows(x, cascades, scratch("product", (*bands.shape[:-1], n // 2 + 1), complex), bands)
+        y[...] = bands[-1]  # the deepest lowband passes through
+        # Deepest first, so that no lowband is read after it is overwritten.
+        for k in range(levels - 1, 0, -1):
+            np.subtract(bands[k - 1], bands[k], out=bands[k])
+        np.subtract(x, bands[0], out=bands[0])
+        highs = shrink(bands.reshape(-1, n), (n,), n, cfg).reshape(bands.shape)
+        for high in highs[::-1]:  # coarsest first, as pyramid_synthesis sums
+            y += high
+    return out
 
 
 def universal_threshold(
@@ -172,57 +136,48 @@ def universal_threshold(
 
 
 def _epigraph_shrink(
-    details: np.ndarray, lengths: tuple[int, ...], n: int, cfg: DenoiseConfig
+    bands: np.ndarray, lengths: tuple[int, ...], n: int, cfg: DenoiseConfig
 ) -> np.ndarray:
-    """Each band's own threshold, from its epigraph projection."""
-    return _project(details, lengths, cfg.strict_paper_mode, None).w_p
+    """Each band's own threshold, from its epigraph projection, applied in place."""
+    return _project(bands, lengths, cfg.strict_paper_mode, None, out=bands).w_p
 
 
 def _universal_shrink(
-    details: np.ndarray, lengths: tuple[int, ...], n: int, cfg: DenoiseConfig
+    bands: np.ndarray, lengths: tuple[int, ...], n: int, cfg: DenoiseConfig
 ) -> np.ndarray:
-    """One universal threshold across all detail bands (needs sigma-hat)."""
+    """One universal threshold across all bands (needs sigma-hat from the finest)."""
     # Band coefficients carry the analysis 1/sqrt(N) scale; the MAD there
     # estimates sigma/sqrt(N), so scale back up to signal units.
-    sigma = estimate_sigma(details[:, : lengths[0]]) * np.sqrt(n)
-    return soft_threshold(details, universal_threshold(sigma, n, cfg.gamma)[:, None])
+    sigma = estimate_sigma(bands[:, : lengths[0]]) * np.sqrt(n)
+    return soft_threshold(bands, universal_threshold(sigma, n, cfg.gamma)[:, None])
 
 
 def _three_sigma_shrink(
-    details: np.ndarray, lengths: tuple[int, ...], n: int, cfg: DenoiseConfig
+    bands: np.ndarray, lengths: tuple[int, ...], n: int, cfg: DenoiseConfig
 ) -> np.ndarray:
     """Soft threshold 3*sigma-hat in every band, sigma-hat from the finest."""
-    return soft_threshold(details, 3.0 * estimate_sigma(details[:, : lengths[0]])[:, None])
+    return soft_threshold(bands, 3.0 * estimate_sigma(bands[:, : lengths[0]])[:, None])
 
 
-# The wavelet-domain methods: one shrink rule each over the same DWT.
-_SHRINK = {
-    "pes-wavelet": _epigraph_shrink,
-    "universal": _universal_shrink,
-    "three-sigma": _three_sigma_shrink,
+# Each method is a decomposition of the rows at one depth plus the shrink
+# rule it applies to the bands.  A shrink rule gets the (rows, N) bands,
+# their band lengths, the signal length and the config, and returns the
+# shrunk bands; it may shrink them in place.
+_METHODS = {
+    "pes-wavelet": (_wavelet, _epigraph_shrink),
+    "pes-pyramid": (_pyramid, _epigraph_shrink),
+    "universal": (_wavelet, _universal_shrink),
+    "three-sigma": (_wavelet, _three_sigma_shrink),
 }
-
-
-def _spectrum_levels_by_row(spectrum_levels, x: np.ndarray) -> np.ndarray:
-    """spectrum_levels as one depth per row of x, shape (T,) (1 for 1-D x).
-
-    Raises ValueError unless they are one integer depth in [1, MAX_LEVELS]
-    per row: an int for 1-D x, a (T,) array for (T, n)."""
-    levels = np.asarray(spectrum_levels)
-    expected = "an integer" if x.ndim == 1 else f"an integer array of shape {x.shape[:-1]}"
-    if levels.shape != x.shape[:-1] or levels.dtype.kind not in "iu":
-        raise ValueError(f"spectrum_levels must be {expected}, got {spectrum_levels!r}")
-    if not np.all((levels >= 1) & (levels <= MAX_LEVELS)):
-        raise ValueError(f"spectrum_levels must lie in [1, {MAX_LEVELS}], got {spectrum_levels!r}")
-    return levels.reshape(-1)
+METHODS = tuple(_METHODS)
 
 
 def denoise(x: np.ndarray, cfg: DenoiseConfig, spectrum_levels=None) -> np.ndarray:
     """Denoise x along its last axis with the method cfg names.
 
     x is one signal of shape (n,) or a batch of shape (T, n), with
-    n >= 16 and every sample finite.  Each row is denoised on its own,
-    with its own depth and (for the baselines) its own sigma-hat; the
+    n >= 16 and every sample real and finite.  Each row is denoised on its
+    own, with its own depth and (for the baselines) its own sigma-hat; the
     output has x's shape.
 
     The depth is cfg.levels when set, else each row's spectrum depth,
@@ -233,6 +188,8 @@ def denoise(x: np.ndarray, cfg: DenoiseConfig, spectrum_levels=None) -> np.ndarr
     it, denoise selects them itself.  For pes-pyramid an explicit
     cfg.levels must satisfy 2^(levels+1) <= n.
     """
+    if np.iscomplexobj(x):
+        raise ValueError("input must be real, got complex samples")
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2):
         raise ValueError(f"expected shape (n,) or (T, n), got {x.ndim}-D input of shape {x.shape}")
@@ -242,8 +199,28 @@ def denoise(x: np.ndarray, cfg: DenoiseConfig, spectrum_levels=None) -> np.ndarr
         raise ValueError("cannot denoise a batch with no rows")
     if not np.isfinite(x).all():
         raise ValueError("input contains NaN or infinite samples")
+    rows = np.atleast_2d(x)
     if spectrum_levels is not None:
-        spectrum_levels = _spectrum_levels_by_row(spectrum_levels, x)
-    if cfg.method == "pes-pyramid":
-        return _pyramid(x, cfg, spectrum_levels)
-    return _wavelet(x, cfg, spectrum_levels, _SHRINK[cfg.method])
+        given = np.asarray(spectrum_levels)
+        expected = "an integer" if x.ndim == 1 else f"an integer array of shape {x.shape[:-1]}"
+        if given.shape != x.shape[:-1] or given.dtype.kind not in "iu":
+            raise ValueError(f"spectrum_levels must be {expected}, got {spectrum_levels!r}")
+        if not np.all((given >= 1) & (given <= MAX_LEVELS)):
+            raise ValueError(f"spectrum_levels must lie in [1, {MAX_LEVELS}], got {spectrum_levels!r}")
+        spectrum_levels = given.reshape(-1)
+    if cfg.levels is not None:
+        depths = np.full(rows.shape[0], cfg.levels)
+    else:
+        if spectrum_levels is None:
+            spectrum_levels = select_levels(rows, cfg.alpha, cfg.smooth_window)
+        depths = clamp_depth(spectrum_levels, cfg, x.shape[-1])
+    decompose, shrink = _METHODS[cfg.method]
+    groups = sorted(set(depths.tolist()))
+    if len(groups) == 1:
+        # One depth for every row: no copies in and out of the groups.
+        return decompose(rows, groups[0], cfg, shrink).reshape(x.shape)
+    out = np.empty_like(rows)
+    for levels in groups:
+        picked = depths == levels
+        out[picked] = decompose(rows[picked], levels, cfg, shrink)
+    return out.reshape(x.shape)

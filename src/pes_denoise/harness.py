@@ -22,7 +22,7 @@ import numpy as np
 
 from .denoise import DenoiseConfig, denoise
 from .signals import _add_noise, _unit_noise, generate_test_signal, snr_db
-from .spectrum import select_levels
+from .spectrum import _is_integer, select_levels
 
 DEFAULT_SIGNALS = ("blocks", "heavy-sine", "doppler", "bumps", "piece-regular", "cusp")
 DEFAULT_FRACTIONS = (0.10, 0.20, 0.30)
@@ -46,9 +46,11 @@ class ExperimentSpec:
     n: int = 1024
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.base_seed < 0:
+        if not _is_integer(self.trials) or self.trials < 1:
+            raise ValueError(f"trials must be an integer >= 1, got {self.trials}")
+        if not _is_integer(self.n) or self.n < 16:
+            raise ValueError(f"n must be an integer >= 16, got {self.n}")
+        if not _is_integer(self.base_seed) or self.base_seed < 0:
             raise ValueError(f"base_seed must be a nonnegative integer, got {self.base_seed}")
         for fraction in self.noise_fractions:
             if not 0.0 < fraction <= 1.0:

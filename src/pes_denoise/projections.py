@@ -252,6 +252,8 @@ def project_epigraph_bands(
 
 
 def _finite(w: np.ndarray) -> np.ndarray:
+    if np.iscomplexobj(w):
+        raise ValueError("input must be real, got complex entries")
     w = np.asarray(w, dtype=float)
     if not np.isfinite(w).all():
         raise ValueError("input contains NaN or infinite entries")

@@ -33,17 +33,24 @@ class BandwidthEstimate:
     degenerate: bool | np.ndarray = False
 
 
+def _is_integer(value) -> bool:
+    """Whether value is an integer: a bool is not one."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def check_spectrum_options(alpha: float, smooth_window: int) -> None:
     """Raise ValueError unless alpha > 1 and smooth_window is a positive odd integer."""
     if not alpha > 1.0:
         raise ValueError(f"alpha must exceed 1, got {alpha}")
-    if not isinstance(smooth_window, Integral) or smooth_window < 1 or smooth_window % 2 == 0:
+    if not _is_integer(smooth_window) or smooth_window < 1 or smooth_window % 2 == 0:
         raise ValueError(f"smooth window must be a positive odd integer, got {smooth_window}")
 
 
 def magnitude_spectrum(x: np.ndarray) -> np.ndarray:
     """|DFT| at bins 0..N/2 along the last axis (real-input half spectrum);
     bin k <-> 2*pi*k/N."""
+    if np.iscomplexobj(x):
+        raise ValueError("input must be real, got complex samples")
     x = np.asarray(x, dtype=float)
     if x.shape[-1] < 16:
         raise ValueError(f"need at least 16 samples along the last axis, got {x.shape[-1]}")

@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._workspace import BLOCK_ELEMENTS, scratch
-
 
 @dataclass(frozen=True)
 class FilterBank:
@@ -241,7 +239,18 @@ def _cascade_spectra(cutoffs: tuple[float, ...], taps: int, n: int) -> tuple[np.
     """Read-only spectra of the stage cascades: entry k is the product of
     the design_lowpass(cutoff, taps) kernel spectra of cutoffs[0..k], since
     stage k filters stage k-1's lowband.  Pyramids whose cutoffs share a
-    prefix share its arrays."""
+    prefix share its arrays.  Raises ValueError unless the cutoffs are one
+    or more, strictly decreasing, and the last spans a DFT bin at length n.
+    """
+    if not cutoffs:
+        raise ValueError("need at least one cutoff")
+    if any(c2 >= c1 for c1, c2 in zip(cutoffs, cutoffs[1:])):
+        raise ValueError(f"cutoffs must be strictly decreasing, got {list(cutoffs)}")
+    if cutoffs[-1] < 2.0 * np.pi / n:
+        raise ValueError(
+            f"cutoff {cutoffs[-1]:.6g} is below the DFT bin spacing 2*pi/{n}: "
+            f"an octave pyramid at length {n} has at most {pyramid_max_levels(n)} stages"
+        )
     spectrum = _kernel_spectrum(design_lowpass(cutoffs[-1], taps), n)
     shallower = _cascade_spectra(cutoffs[:-1], taps, n) if len(cutoffs) > 1 else ()
     if shallower:
@@ -250,48 +259,27 @@ def _cascade_spectra(cutoffs: tuple[float, ...], taps: int, n: int) -> tuple[np.
     return (*shallower, spectrum)
 
 
-def _block_rows(levels: int, n: int) -> int:
-    """Rows per block of an L-stage pyramid at length n: L*rows*n values
-    fill about one workspace block."""
-    return max(1, BLOCK_ELEMENTS // (levels * n))
-
-
-def _fill_lows(x: np.ndarray, cutoffs: list[float], taps: int, out: np.ndarray) -> None:
-    """Write every stage's lowband of x, a (T, n) array, into out, an
-    (L, T, n) array: one rfft per row and one batched irfft per block of
-    rows, with the spectra in the thread's workspace."""
-    n = x.shape[-1]
-    if not cutoffs:
-        raise ValueError("need at least one cutoff")
-    if any(c2 >= c1 for c1, c2 in zip(cutoffs, cutoffs[1:])):
-        raise ValueError(f"cutoffs must be strictly decreasing, got {cutoffs}")
-    if cutoffs[-1] < 2.0 * np.pi / n:
-        raise ValueError(
-            f"cutoff {cutoffs[-1]:.6g} is below the DFT bin spacing 2*pi/{n}: "
-            f"an octave pyramid at length {n} has at most {pyramid_max_levels(n)} stages"
-        )
-    cascades = _cascade_spectra(tuple(cutoffs), taps, n)
-    block = _block_rows(len(cascades), n)
-    for r0 in range(0, x.shape[0], block):
-        rows = x[r0:r0 + block]
-        spectrum = scratch("spectrum", (rows.shape[0], n // 2 + 1), complex)
-        np.fft.rfft(rows, axis=-1, out=spectrum)
-        product = scratch("product", (len(cascades), *spectrum.shape), complex)
-        for cascade, stage in zip(cascades, product):
-            np.multiply(spectrum, cascade, out=stage)
-        np.fft.irfft(product, n, axis=-1, out=out[:, r0:r0 + block])
+def _fill_lows(
+    x: np.ndarray, cascades: tuple[np.ndarray, ...], product: np.ndarray, out: np.ndarray
+) -> None:
+    """Write every stage's lowband of x, an (..., n) array, into out, an
+    (L, ..., n) array: x's rfft times each of the L cascade spectra in
+    product, an (L, ..., n//2 + 1) complex buffer, then one batched irfft.
+    The rfft is held in the last stage, which is multiplied last."""
+    spectrum = np.fft.rfft(x, axis=-1, out=product[-1])
+    for cascade, stage in zip(cascades, product):
+        np.multiply(spectrum, cascade, out=stage)
+    np.fft.irfft(product, x.shape[-1], axis=-1, out=out)
 
 
 def pyramid_analysis(x: np.ndarray, cutoffs: list[float], taps: int = 129) -> PyramidSet:
-    """Lowbands of every stage from one rfft and one batched irfft per
-    block of rows, and highbands by subtraction from the previous stage's
-    lowband."""
+    """Lowbands of every stage from one rfft and one batched irfft, and
+    highbands by subtraction from the previous stage's lowband."""
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
-    rows = x.reshape(-1, n)
-    lows = np.empty((len(cutoffs), *rows.shape))
-    _fill_lows(rows, cutoffs, taps, lows)
-    lows = lows.reshape(len(cutoffs), *x.shape)
+    cascades = _cascade_spectra(tuple(cutoffs), taps, n)
+    lows = np.empty((len(cascades), *x.shape))
+    _fill_lows(x, cascades, np.empty((*lows.shape[:-1], n // 2 + 1), dtype=complex), lows)
     highs = np.empty_like(lows)
     np.subtract(x, lows[0], out=highs[0])
     np.subtract(lows[:-1], lows[1:], out=highs[1:])

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from pes_denoise.cli import main
+from pes_denoise.harness import DEFAULT_METHODS
 
 
 def run(argv):
@@ -181,6 +182,13 @@ def test_experiment_deterministic_and_json(tmp_path, capsys):
     assert payload["errors"] == []
     assert payload["rows"][0]["signal"] == "cusp"
     assert payload["rows"][0]["trials"] == 2
+
+
+def test_default_experiment_runs_the_library_methods_in_order(capsys):
+    argv = ["experiment", "--signal", "cusp", "--noise", "0.2", "--trials", "1", "--n", "256"]
+    assert run(argv) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[2] for row in rows] == [cfg.method for cfg in DEFAULT_METHODS]
 
 
 def test_experiment_failure_exit_code(tmp_path, capsys):

@@ -169,7 +169,7 @@ def test_pes_paths_never_touch_sigma_estimation(monkeypatch):
 def test_config_validation():
     with pytest.raises(ValueError):
         DenoiseConfig(method="wiener")
-    for levels in (0, 2.5):
+    for levels in (0, 2.5, True):
         with pytest.raises(ValueError, match="levels must be an integer"):
             DenoiseConfig(levels=levels)
     for gamma in (-0.5, np.nan):
@@ -187,7 +187,7 @@ def test_config_validation():
     for alpha in (0.5, 1.0, np.nan):
         with pytest.raises(ValueError, match="alpha must exceed 1"):
             DenoiseConfig(levels=3, alpha=alpha)
-    for window in (4, 0, -3, 2.5, 9.0):
+    for window in (4, 0, -3, 2.5, 9.0, True):
         with pytest.raises(ValueError, match="positive odd integer"):
             DenoiseConfig(levels=2, smooth_window=window)
 
@@ -205,6 +205,13 @@ def test_non_finite_input_is_rejected(method, bad):
         denoise(y, DenoiseConfig(method=method))
     with pytest.raises(ValueError, match="NaN or infinite"):
         denoise(np.stack([y, np.roll(y, 3)]), DenoiseConfig(method=method))
+
+
+def test_complex_input_is_rejected():
+    # np.asarray(..., dtype=float) would drop the imaginary part with only a warning.
+    for x in (np.ones(64) + 1j, np.ones((2, 64), dtype=complex)):
+        with pytest.raises(ValueError, match="complex"):
+            denoise(x, DenoiseConfig())
 
 
 @pytest.mark.parametrize("shape", [(), (2, 2, 64), (1, 1, 1, 32)])
@@ -329,8 +336,9 @@ def test_given_spectrum_levels_equal_selected_ones(method):
 def test_bad_spectrum_levels_are_refused(row_levels, batch_levels, match):
     x = _batch(_MIXED)
     for method in METHODS:
-        cfg = DenoiseConfig(method=method)
-        with pytest.raises(ValueError, match=match):
-            denoise(x[0], cfg, row_levels)
-        with pytest.raises(ValueError, match=match):
-            denoise(x, cfg, batch_levels)
+        # Checked even where an explicit depth makes them unused.
+        for cfg in (DenoiseConfig(method=method), DenoiseConfig(method=method, levels=2)):
+            with pytest.raises(ValueError, match=match):
+                denoise(x[0], cfg, row_levels)
+            with pytest.raises(ValueError, match=match):
+                denoise(x, cfg, batch_levels)

@@ -38,6 +38,15 @@ def test_spec_validation():
         ExperimentSpec(noise_fractions=(0.2, 1.5))
     with pytest.raises(ValueError, match="base_seed must be a nonnegative integer"):
         ExperimentSpec(base_seed=-1)
+    # Counts must be integers (a bool is not one), refused before any run starts.
+    for trials in (2.5, True):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            ExperimentSpec(trials=trials)
+    for n in (1000.0, 8, True):
+        with pytest.raises(ValueError, match="n must be an integer >= 16"):
+            ExperimentSpec(n=n)
+    with pytest.raises(ValueError, match="base_seed must be a nonnegative integer"):
+        ExperimentSpec(base_seed=1.5)
 
 
 def test_run_experiment_is_deterministic():

@@ -461,6 +461,12 @@ def test_public_projections_refuse_non_finite_input(bad):
         project_epigraph_bands(np.stack([band[::-1], band]), (2, 2))
 
 
+def test_public_projections_refuse_complex_input():
+    # np.asarray(..., dtype=float) would drop the imaginary part with only a warning.
+    with pytest.raises(ValueError, match="complex"):
+        project_l1_ball(np.array([1.0, -2.0, 0.5]) + 1j, 1.0)
+
+
 @pytest.mark.parametrize("strict", [False, True])
 def test_derived_ball_size_does_not_cancel(strict):
     # 7,000 tied nonzero entries in a 21,845-entry band: d = l1 - nnz*t

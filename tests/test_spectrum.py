@@ -41,6 +41,11 @@ def test_magnitude_spectrum_rejects_short_input():
         magnitude_spectrum(np.ones(8))
 
 
+def test_select_levels_refuses_complex_input():
+    with pytest.raises(ValueError, match="complex"):
+        select_levels(np.ones(64) + 1j)
+
+
 def test_levels_for_bandwidth_hand_cases():
     assert levels_for_bandwidth(58 * math.pi / 512) == 3  # pi/8 > omega0 >= pi/16
     assert levels_for_bandwidth(math.pi / 4) == 1  # strict: pi/4 is NOT > pi/4

@@ -109,7 +109,7 @@ def test_workspace_is_bounded_independently_of_the_rows():
         return [buffer.nbytes for buffer in _local.buffers.values()]
 
     sizes = _in_thread(work)
-    assert 0 < len(sizes) <= 6
+    assert 0 < len(sizes) <= 5
     assert max(sizes) <= 8 * BLOCK_ELEMENTS * 513 // 512
 
 
