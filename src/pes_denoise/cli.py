@@ -36,16 +36,7 @@ from .signals import (
     snr_db,
 )
 from .spectrum import estimate_bandwidth, magnitude_spectrum
-from .transforms import DEFAULT_BANK
-
-
-def _str2bool(value: str) -> bool:
-    lowered = value.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {value!r}")
+from .transforms import DEFAULT_BANK, DEFAULT_TAPS
 
 
 # dest -> (caster, splits on commas)
@@ -62,7 +53,6 @@ _CONFIG_KEYS = {
     "taps": (int, False),
     "smooth_window": (int, False),
     "n": (int, False),
-    "strict_paper": (_str2bool, False),
     "out": (str, False),
 }
 
@@ -133,8 +123,6 @@ def _write_or_print(out_dir: str | None, filename: str, content: str) -> None:
 
 def _denoise_config(ns: argparse.Namespace, method: str) -> DenoiseConfig:
     given = _given(ns, "bank", "levels", "gamma", "taps", "alpha", "smooth_window")
-    if ns.strict_paper is not None:
-        given["strict_paper_mode"] = ns.strict_paper
     return DenoiseConfig(method=method, **given)
 
 
@@ -247,14 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--levels", type=int, help="decomposition depth (default: from spectrum)")
         p.add_argument("--bank", help="wavelet filter bank (default db4)")
         p.add_argument("--gamma", type=float, help="universal-threshold scale (default 1)")
-        p.add_argument("--taps", type=int, help="pyramid FIR length, odd (default 129)")
-        p.add_argument(
-            "--strict-paper",
-            dest="strict_paper",
-            action="store_const",
-            const=True,
-            help="use the K+1 hyperplane normalization in projections",
-        )
+        p.add_argument("--taps", type=int, help=f"pyramid FIR length, odd (default {DEFAULT_TAPS})")
 
     p_gen = sub.add_parser("generate", help="emit a clean test signal as CSV")
     add_common(p_gen)

@@ -30,6 +30,7 @@ from .spectrum import (
 )
 from .transforms import (
     DEFAULT_BANK,
+    DEFAULT_TAPS,
     _cascade_spectra,
     _fill_lows,
     default_cutoffs,
@@ -40,8 +41,6 @@ from .transforms import (
     pyramid_max_levels,
 )
 
-DEFAULT_TAPS = 129
-
 
 @dataclass(frozen=True)
 class DenoiseConfig:
@@ -50,7 +49,6 @@ class DenoiseConfig:
     levels: int | None = None  # None -> choose from the spectrum
     gamma: float = 1.0
     taps: int = DEFAULT_TAPS
-    strict_paper_mode: bool = False
     alpha: float = DEFAULT_ALPHA
     smooth_window: int = DEFAULT_SMOOTH_WINDOW
 
@@ -139,7 +137,7 @@ def _epigraph_shrink(
     bands: np.ndarray, lengths: tuple[int, ...], n: int, cfg: DenoiseConfig
 ) -> np.ndarray:
     """Each band's own threshold, from its epigraph projection, applied in place."""
-    return _project(bands, lengths, cfg.strict_paper_mode, None, out=bands).w_p
+    return _project(bands, lengths, None, out=bands).w_p
 
 
 def _universal_shrink(

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .denoise import DenoiseConfig, denoise
-from .signals import _add_noise, _unit_noise, generate_test_signal, snr_db
+from .signals import NoiseSpec, _add_noise, _unit_noise, generate_test_signal, snr_db
 from .spectrum import _is_integer, select_levels
 
 DEFAULT_SIGNALS = ("blocks", "heavy-sine", "doppler", "bumps", "piece-regular", "cusp")
@@ -53,8 +53,7 @@ class ExperimentSpec:
         if not _is_integer(self.base_seed) or self.base_seed < 0:
             raise ValueError(f"base_seed must be a nonnegative integer, got {self.base_seed}")
         for fraction in self.noise_fractions:
-            if not 0.0 < fraction <= 1.0:
-                raise ValueError(f"noise fractions must be in (0, 1], got {fraction}")
+            NoiseSpec(fraction)  # raises ValueError unless the fraction is in (0, 1]
         labels = [cfg.method for cfg in self.methods]
         shared = sorted({label for label in labels if labels.count(label) > 1})
         if shared:

@@ -32,15 +32,23 @@ _FLOOR_MARGIN = 4 * np.finfo(float).eps
 
 
 def soft_threshold(w: np.ndarray, theta: float | np.ndarray) -> np.ndarray:
-    """Elementwise shrinkage sign(w) * max(|w| - theta, 0).
+    """Elementwise shrinkage sign(w) * max(|w| - theta, 0), with -0.0 kept.
 
     theta is a scalar or broadcasts against w, e.g. one threshold per row
     of a (T, K) array as a (T, 1) column.
     """
-    if not np.all(np.asarray(theta) >= 0):
+    if not (np.asarray(theta) >= 0).all():
         raise ValueError(f"threshold must be nonnegative, got {theta}")
     w = np.asarray(w, dtype=float)
-    return np.sign(w) * np.maximum(np.abs(w) - theta, 0.0)
+    out = np.empty(np.broadcast(w, theta).shape)
+    return _soft(np.abs(w, out=out), theta, w, out)
+
+
+def _soft(mag: np.ndarray, threshold, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """copysign(max(mag - threshold, 0), w) into out, with mag = |w| overwritten."""
+    np.subtract(mag, threshold, out=mag)
+    np.maximum(mag, 0.0, out=mag)
+    return np.copysign(mag, w, out=out)
 
 
 @dataclass(frozen=True)
@@ -150,7 +158,6 @@ def _sorted_rule(
 def _project(
     w: np.ndarray,
     lengths: tuple[int, ...],
-    strict_paper_mode: bool,
     ball: np.ndarray | None,
     out: np.ndarray | None = None,
 ) -> BandProjection:
@@ -200,13 +207,10 @@ def _project(
                 bits = tmp.view(np.uint64)
                 np.subtract(mag.view(np.uint64), 1, out=bits)
                 smallest = (np.minimum.reduceat(bits, starts, axis=-1) + 1).view(float)
-            # t = l1/(M+1) and d = l1 - nnz*t, the latter written so that
-            # it does not cancel: d = t when M = nnz.
-            if strict_paper_mode:
-                t = l1 / (sizes + 1)
-                d = l1 * (sizes + 1 - nnz) / (sizes + 1)
-            else:
-                t = d = l1 / (nnz + 1)
+            # t = l1/(nnz+1), nnz+1 being the squared norm of the normal
+            # (sign(w), -1), and d = l1 - nnz*t, which is t; taken as t so
+            # that it does not cancel.
+            t = d = l1 / (nnz + 1)
             # w_p = sign(w) * (|w| - t) on the boundary hyperplane, so a
             # nonzero entry's sign flips where t exceeds its magnitude.
             fast = t - smallest <= _SIGN_TIE_TOL
@@ -219,9 +223,7 @@ def _project(
             theta, kept = _sorted_rule(mag, l1, d, fast, layout, flag, tmp)
             threshold = np.where(fast, t, theta)
             rho = np.where(fast, 0, kept)
-        np.subtract(mag, _per_entry(threshold, band, tmp), out=tmp)
-        np.maximum(tmp, 0.0, out=tmp)
-        np.copysign(tmp, wb, out=result.w_p[r0:r0 + block])  # soft(w, threshold)
+        _soft(mag, _per_entry(threshold, band, tmp), wb, result.w_p[r0:r0 + block])
         result.d[r0:r0 + block] = d
         result.threshold[r0:r0 + block] = threshold
         result.fast_path[r0:r0 + block] = fast
@@ -229,9 +231,7 @@ def _project(
     return result
 
 
-def project_epigraph_bands(
-    w: np.ndarray, lengths: tuple[int, ...] | None = None, strict_paper_mode: bool = False
-) -> BandProjection:
+def project_epigraph_bands(w: np.ndarray, lengths: tuple[int, ...] | None = None) -> BandProjection:
     """Epigraph projection of every (row, band) of a (T, N) array.
 
     The last axis concatenates bands of the given lengths (one band of
@@ -248,7 +248,7 @@ def project_epigraph_bands(
         raise ValueError(
             f"band lengths {lengths} do not tile the last axis of length {w.shape[-1]}"
         )
-    return _project(w, lengths, strict_paper_mode, None)
+    return _project(w, lengths, None)
 
 
 def _finite(w: np.ndarray) -> np.ndarray:
@@ -284,28 +284,25 @@ def project_l1_ball(w: np.ndarray, d: float) -> BallProjection:
         # The rule's rho is undefined here; the smallest threshold that
         # empties the ball is the max magnitude.
         return BallProjection(w_p=np.zeros_like(w), theta=float(np.max(mag)), d=0.0, rho=0)
-    result = _project(w[None, :], (w.shape[0],), False, np.array([[float(d)]]))
+    result = _project(w[None, :], (w.shape[0],), np.array([[float(d)]]))
     theta, rho = float(result.threshold[0, 0]), int(result.rho[0, 0])
     return BallProjection(w_p=result.w_p[0], theta=theta, d=float(d), rho=rho)
 
 
-def project_epigraph_l1(w: np.ndarray, strict_paper_mode: bool = False) -> EpigraphProjection:
+def project_epigraph_l1(w: np.ndarray) -> EpigraphProjection:
     """Project the lifted point (w, 0) onto the epigraph of the l1 norm.
 
     Step 1 projects onto the boundary hyperplane sum(sign(w)*u) - z = 0:
     the displacement is t along the normal (sign(w), -1), with
-    t = sum(sign(w)*w) / M and M the squared normal norm.  Step 2 keeps
-    that point when no component's sign flipped; otherwise it falls back
-    to the l1-ball projection at the derived size d.
-
-    M counts only nonzero entries (+1) by default, which is the exact
-    squared norm since sign(0) = 0; strict_paper_mode uses len(w)+1
-    regardless, for reproducing results that assumed no zero entries.
+    t = sum(sign(w)*w) / M and M = nnz+1 the squared normal norm, since
+    sign(0) = 0.  Step 2 keeps that point when no component's sign
+    flipped; otherwise it falls back to the l1-ball projection at the
+    derived size d.
     """
     w = _as_band(w)
     if not np.any(w):
         raise ValueError("epigraph projection undefined for an all-zero band")
-    result = _project(w[None, :], (w.shape[0],), strict_paper_mode, None)
+    result = _project(w[None, :], (w.shape[0],), None)
     w_p = result.w_p[0]
     fast_path = bool(result.fast_path[0, 0])
     z_p = float(result.threshold[0, 0]) if fast_path else float(np.abs(w_p).sum())

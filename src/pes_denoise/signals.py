@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spectrum import _is_integer
+
 _BREAKPOINTS = [0.1, 0.13, 0.15, 0.23, 0.25, 0.4, 0.44, 0.65, 0.76, 0.78, 0.81]
 _BLOCK_STEPS = [4, -5, 3, -4, 5, -4.2, 2.1, 4.3, -3.1, 2.1, -4.2]
 _BUMP_HEIGHTS = [4, 5, 3, 4, 5, 4.2, 2.1, 4.3, 3.1, 2.1, 4.2]
@@ -108,8 +110,8 @@ SIGNAL_NAMES = tuple(_GENERATORS)
 
 def generate_test_signal(name: str, n: int) -> np.ndarray:
     """Return the named test signal at length n (deterministic)."""
-    if n < 16:
-        raise ValueError(f"signal length must be >= 16, got {n}")
+    if not _is_integer(n) or n < 16:
+        raise ValueError(f"signal length must be an integer >= 16, got {n}")
     key = name.strip().lower().replace("_", "-")
     try:
         gen = _GENERATORS[key]
@@ -126,10 +128,10 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.amplitude_fraction <= 1.0:
-            raise ValueError(f"amplitude_fraction must be in (0, 1], got {self.amplitude_fraction}")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+        if isinstance(self.amplitude_fraction, bool) or not 0.0 < self.amplitude_fraction <= 1.0:
+            raise ValueError(f"noise fraction must be in (0, 1], got {self.amplitude_fraction}")
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
 
 
 def noise_sigma(v: np.ndarray, amplitude_fraction: float) -> float:

@@ -85,6 +85,7 @@ _BANKS = {
 
 BANK_NAMES = tuple(_BANKS)
 DEFAULT_BANK = "db4"
+DEFAULT_TAPS = 129  # the pyramid's FIR length
 
 
 def get_filter_bank(name: str) -> FilterBank:
@@ -272,7 +273,7 @@ def _fill_lows(
     np.fft.irfft(product, x.shape[-1], axis=-1, out=out)
 
 
-def pyramid_analysis(x: np.ndarray, cutoffs: list[float], taps: int = 129) -> PyramidSet:
+def pyramid_analysis(x: np.ndarray, cutoffs: list[float], taps: int = DEFAULT_TAPS) -> PyramidSet:
     """Lowbands of every stage from one rfft and one batched irfft, and
     highbands by subtraction from the previous stage's lowband."""
     x = np.asarray(x, dtype=float)

@@ -25,18 +25,17 @@ def lowpass_filter(x: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def full_sort_rule(
-    band: np.ndarray, strict_paper_mode: bool = False, d: float | None = None
+    band: np.ndarray, d: float | None = None
 ) -> tuple[np.ndarray, float, float, int, bool]:
     """One band's projection by the full-sort rule: (w_p, d, threshold, rho,
     fast_path), as the segmented kernel reports them.
 
-    With d=None, the epigraph projection: t = l1/(M+1) with l1 the band's
-    correctly rounded l1 mass, M the nonzero count (the band length in
-    strict mode), d = l1 - nnz*t = l1*(M+1-nnz)/(M+1), and the fast
-    path wherever t exceeds no nonzero magnitude by more than 1e-12.  With
-    a ball size d, the projection onto that l1 ball, which never takes the
-    fast path.  Elsewhere the sorted rule of Duchi et al. (2008) runs on
-    the whole band, sorted: rho is the last j with
+    With d=None, the epigraph projection: t = d = l1/(nnz+1) with l1 the
+    band's correctly rounded l1 mass and nnz its nonzero count, and the
+    fast path wherever t exceeds no nonzero magnitude by more than 1e-12.
+    With a ball size d, the projection onto that l1 ball, which never
+    takes the fast path.  Elsewhere the sorted rule of Duchi et al. (2008)
+    runs on the whole band, sorted: rho is the last j with
     mu_j - (sum_{r<=j} mu_r - d)/j > 0 (1 where none passes) and the
     threshold is (sum_{r<=rho} mu_r - d)/rho.
     """
@@ -47,9 +46,7 @@ def full_sort_rule(
     if d is None:
         nnz = int(np.count_nonzero(mag))
         l1 = math.fsum(mag)
-        m = mag.shape[0] if strict_paper_mode else nnz
-        t = l1 / (m + 1)
-        d = l1 * (m + 1 - nnz) / (m + 1)
+        t = d = l1 / (nnz + 1)
         fast_path = nnz == 0 or t - mu[nnz - 1] <= 1e-12
     rho, threshold = 0, t
     if not fast_path:

@@ -1,12 +1,13 @@
 """Command-line interface: all four verbs, config files, exit codes."""
 
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from pes_denoise.cli import main
+from pes_denoise.cli import _CONFIG_KEYS, build_parser, main
 from pes_denoise.harness import DEFAULT_METHODS
 
 
@@ -121,7 +122,6 @@ def test_spectrum_verb_reports_the_depth_each_method_runs(capsys):
         ["--bank", "haar"],
         ["--gamma", "2"],
         ["--taps", "4"],
-        ["--strict-paper"],
     ],
     ids=lambda flag: flag[0],
 )
@@ -240,9 +240,34 @@ def test_experiment_rejects_repeated_method(capsys):
     assert "repeated: pes-wavelet" in capsys.readouterr().err
 
 
-def test_strict_paper_flag_accepted(capsys):
-    rc = run(["denoise", "--signal", "cusp", "--noise", "0.1", "--strict-paper", "--n", "256"])
-    assert rc == 0
+@pytest.mark.parametrize("verb", ["denoise", "experiment"])
+def test_strict_mode_is_refused(verb, tmp_path, capsys):
+    # The projection has one normalisation, nnz+1; no flag or key picks another.
+    argv = [verb, "--signal", "cusp", "--noise", "0.1", "--n", "256"]
+    argv += ["--trials", "1"] if verb == "experiment" else []
+    assert run(argv) == 0
+    assert run(argv + ["--strict-paper"]) == 2
+    cfg = tmp_path / "strict.cfg"
+    cfg.write_text("strict-paper=1\n")  # a key may be spelt with - or _
+    capsys.readouterr()
+    assert run(argv + ["--config", str(cfg)]) == 2
+    assert "unknown config key 'strict-paper'" in capsys.readouterr().err
+
+
+def test_config_keys_and_flags_are_one_schema():
+    # Every config key is some verb's flag with the same caster, the keys
+    # that split on commas are the repeatable flags, and every flag but
+    # --config is a key: a key outliving its flag, or the reverse, fails.
+    parser = build_parser()
+    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags: dict = {}
+    for verb in verbs.choices.values():
+        for action in verb._actions:
+            if action.dest in ("help", "config"):
+                continue
+            schema = (action.type or str, isinstance(action, argparse._AppendAction))
+            assert flags.setdefault(action.dest, schema) == schema, action.dest
+    assert flags == _CONFIG_KEYS
 
 
 def test_module_entry_point(tmp_path):

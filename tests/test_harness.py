@@ -36,6 +36,8 @@ def test_spec_validation():
         ExperimentSpec(trials=0)
     with pytest.raises(ValueError):
         ExperimentSpec(noise_fractions=(0.2, 1.5))
+    with pytest.raises(ValueError, match="noise fraction must be in"):
+        ExperimentSpec(noise_fractions=(True,))
     with pytest.raises(ValueError, match="base_seed must be a nonnegative integer"):
         ExperimentSpec(base_seed=-1)
     # Counts must be integers (a bool is not one), refused before any run starts.

@@ -62,6 +62,18 @@ def test_soft_threshold_full_shrinkage():
     assert np.array_equal(soft_threshold(w, 1.5), np.zeros(3))
 
 
+def test_soft_threshold_broadcasts_and_keeps_negative_zero():
+    rng = np.random.default_rng(3)
+    w = rng.normal(size=(4, 9))
+    theta = rng.uniform(0.0, 1.0, size=(4, 1))
+    want = np.sign(w) * np.maximum(np.abs(w) - theta, 0.0)
+    assert np.array_equal(soft_threshold(w, theta), want)
+    # one (K,) band against a (T, 1) column of thresholds gives (T, K)
+    assert np.array_equal(soft_threshold(w[0], theta), soft_threshold(np.tile(w[0], (4, 1)), theta))
+    signs = np.signbit(soft_threshold(np.array([-0.0, 0.0, -0.25]), 0.5))
+    assert signs.tolist() == [True, False, True]
+
+
 def test_soft_threshold_rejects_negative():
     with pytest.raises(ValueError):
         soft_threshold(np.array([1.0]), -0.1)
@@ -280,16 +292,13 @@ def test_epigraph_fallback_never_beats_exact_projection():
             assert got <= exact + 1e-9
 
 
-def test_epigraph_zero_entries_and_strict_mode():
+def test_epigraph_zero_entries():
     w = np.array([1.0, 0.0, 1.0])
-    default = project_epigraph_l1(w)
-    strict = project_epigraph_l1(w, strict_paper_mode=True)
-    # default normalizes by nnz+1 = 3, strict by len+1 = 4
-    assert np.max(np.abs(default.w_p - np.array([1 / 3, 0.0, 1 / 3]))) < 1e-12
-    assert abs(default.z_p - 2 / 3) < 1e-12
-    assert np.max(np.abs(strict.w_p - np.array([0.5, 0.0, 0.5]))) < 1e-12
-    assert abs(strict.z_p - 0.5) < 1e-12
-    assert default.w_p[1] == 0.0 and strict.w_p[1] == 0.0
+    result = project_epigraph_l1(w)
+    # normalized by nnz+1 = 3, the squared norm of the normal (sign(w), -1)
+    assert np.max(np.abs(result.w_p - np.array([1 / 3, 0.0, 1 / 3]))) < 1e-12
+    assert abs(result.z_p - 2 / 3) < 1e-12
+    assert result.w_p[1] == 0.0
 
 
 def test_epigraph_rows_are_independent():
@@ -301,18 +310,17 @@ def test_epigraph_rows_are_independent():
     w[2] = np.sign(w[2]) * (1.0 + 0.001 * rng.uniform(size=40))  # no sign flips
     w[3, ::3] = 0.0
     w[4] = rng.integers(-2, 3, size=40)  # zeros and ties
-    for strict in (False, True):
-        rows = project_epigraph_bands(w, None, strict)
-        w_p, d, fast_path = rows.w_p, rows.d[:, 0], rows.fast_path[:, 0]
-        assert fast_path[2] and not fast_path[0]
-        assert fast_path[1] and np.array_equal(w_p[1], np.zeros(40)) and rows.threshold[1, 0] == 0.0
-        for t in (0, 2, 3, 4, 5):
-            one = project_epigraph_l1(w[t], strict_paper_mode=strict)
-            assert np.max(np.abs(w_p[t] - one.w_p)) < 1e-12
-            assert abs(d[t] - one.d) < 1e-12
-            assert fast_path[t] == one.fast_path
-            if one.fast_path:  # z_p is t there; elsewhere it is the l1 mass of w_p
-                assert abs(rows.threshold[t, 0] - one.z_p) < 1e-12
+    rows = project_epigraph_bands(w)
+    w_p, d, fast_path = rows.w_p, rows.d[:, 0], rows.fast_path[:, 0]
+    assert fast_path[2] and not fast_path[0]
+    assert fast_path[1] and np.array_equal(w_p[1], np.zeros(40)) and rows.threshold[1, 0] == 0.0
+    for t in (0, 2, 3, 4, 5):
+        one = project_epigraph_l1(w[t])
+        assert np.max(np.abs(w_p[t] - one.w_p)) < 1e-12
+        assert abs(d[t] - one.d) < 1e-12
+        assert fast_path[t] == one.fast_path
+        if one.fast_path:  # z_p is t there; elsewhere it is the l1 mass of w_p
+            assert abs(rows.threshold[t, 0] - one.z_p) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +366,12 @@ def _rows_of_bands(seed, lengths, long_band, rows, kinds):
     lengths=st.lists(st.integers(1, 40), min_size=1, max_size=5),
     long_band=st.sampled_from([0, _SEVENTH, _THIRD]),
     rows=st.integers(1, 12),
-    strict=st.booleans(),
 )
-@example(seed=3, lengths=[3, 1], long_band=_THIRD, rows=12, strict=False)
-@example(seed=4, lengths=[1, 2], long_band=_SEVENTH, rows=8, strict=True)
-def test_segmented_kernel_equals_band_by_band(seed, lengths, long_band, rows, strict):
+@example(seed=3, lengths=[3, 1], long_band=_THIRD, rows=12)
+@example(seed=4, lengths=[1, 2], long_band=_SEVENTH, rows=8)
+def test_segmented_kernel_equals_band_by_band(seed, lengths, long_band, rows):
     w, lengths = _rows_of_bands(seed, lengths, long_band, rows, _KINDS)
-    got = project_epigraph_bands(w, lengths, strict)
+    got = project_epigraph_bands(w, lengths)
     assert got.w_p.shape == w.shape
     assert got.d.shape == got.threshold.shape == got.fast_path.shape == (rows, len(lengths))
     ends = np.cumsum(lengths)
@@ -375,7 +382,7 @@ def test_segmented_kernel_equals_band_by_band(seed, lengths, long_band, rows, st
                 assert np.array_equal(got.w_p[t, start:end], band)
                 assert got.fast_path[t, b] and got.d[t, b] == 0.0 and got.threshold[t, b] == 0.0
                 continue
-            one = project_epigraph_l1(band, strict_paper_mode=strict)
+            one = project_epigraph_l1(band)
             assert np.max(np.abs(got.w_p[t, start:end] - one.w_p)) < 1e-12
             assert abs(got.d[t, b] - one.d) < 1e-12
             assert got.fast_path[t, b] == one.fast_path
@@ -391,19 +398,18 @@ def test_segmented_kernel_equals_band_by_band(seed, lengths, long_band, rows, st
     lengths=st.lists(st.integers(1, 40), min_size=1, max_size=5),
     long_band=st.sampled_from([0, _THIRD]),
     rows=st.integers(1, 5),
-    strict=st.booleans(),
 )
-@example(seed=5, lengths=[7, 1], long_band=_THIRD, rows=5, strict=False)
-@example(seed=6, lengths=[40], long_band=_THIRD, rows=3, strict=True)
-def test_segmented_kernel_matches_the_full_sort_oracle(seed, lengths, long_band, rows, strict):
+@example(seed=5, lengths=[7, 1], long_band=_THIRD, rows=5)
+@example(seed=6, lengths=[40], long_band=_THIRD, rows=3)
+def test_segmented_kernel_matches_the_full_sort_oracle(seed, lengths, long_band, rows):
     # The kernel sorts only each band's candidates; the oracle sorts it all.
     w, lengths = _rows_of_bands(seed, lengths, long_band, rows, (*_KINDS, "tied"))
-    got = project_epigraph_bands(w, lengths, strict)
+    got = project_epigraph_bands(w, lengths)
     ends = np.cumsum(lengths)
     for t in range(rows):
         for b, (start, end) in enumerate(zip(ends - lengths, ends)):
             band = w[t, start:end]
-            w_p, d, threshold, rho, fast_path = full_sort_rule(band, strict)
+            w_p, d, threshold, rho, fast_path = full_sort_rule(band)
             # The kernel's l1 mass is not correctly rounded, so the
             # rounding error of every derived number scales with l1.
             tol = 1e-12 * max(1.0, float(np.abs(band).sum()))
@@ -443,8 +449,8 @@ def test_non_finite_rows_do_not_stop_the_block():
     # its block or beside rows that still get theirs.
     w = np.array([[np.inf, 1.0, -2.0, 0.5], [np.nan, 1.0, -2.0, 0.5], [3.0, -1.0, 0.5, 0.25]])
     with np.errstate(invalid="ignore"):
-        alone = [_project(w[t:t + 1], (4,), False, None) for t in (0, 1)]
-        got = _project(w, (4,), False, None)
+        alone = [_project(w[t:t + 1], (4,), None) for t in (0, 1)]
+        got = _project(w, (4,), None)
     one = project_epigraph_l1(w[2])
     assert not np.isfinite([alone[0].d[0, 0], alone[1].d[0, 0], *got.d[:2, 0]]).any()
     assert np.array_equal(got.w_p[2], one.w_p) and got.d[2, 0] == one.d
@@ -467,8 +473,7 @@ def test_public_projections_refuse_complex_input():
         project_l1_ball(np.array([1.0, -2.0, 0.5]) + 1j, 1.0)
 
 
-@pytest.mark.parametrize("strict", [False, True])
-def test_derived_ball_size_does_not_cancel(strict):
+def test_derived_ball_size_does_not_cancel():
     # 7,000 tied nonzero entries in a 21,845-entry band: d = l1 - nnz*t
     # came out about 1.6e-12 away from l1/(nnz+1), its rounding error
     # scaling with l1 rather than with d.
@@ -476,9 +481,9 @@ def test_derived_ball_size_does_not_cancel(strict):
     band = np.zeros(21845)
     band[rng.choice(band.shape[0], 7000, replace=False)] = 0.78873
     band *= rng.choice([-1.0, 1.0], band.shape[0])
-    l1, nnz, m = math.fsum(np.abs(band)), 7000, band.shape[0]
-    want = l1 * (m + 1 - nnz) / (m + 1) if strict else l1 / (nnz + 1)
-    got = project_epigraph_l1(band, strict_paper_mode=strict).d
+    l1, nnz = math.fsum(np.abs(band)), 7000
+    want = l1 / (nnz + 1)
+    got = project_epigraph_l1(band).d
     assert abs(got - want) <= 4 * np.spacing(want)
 
 

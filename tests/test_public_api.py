@@ -111,7 +111,18 @@ def test_config_fields_are_pinned():
         "levels",
         "gamma",
         "taps",
-        "strict_paper_mode",
         "alpha",
         "smooth_window",
     ]
+
+
+def test_projection_parameters_are_pinned():
+    # One normalisation, nnz+1: no projection takes a mode switch.
+    params = {
+        "project_epigraph_l1": ["w"],
+        "project_epigraph_bands": ["w", "lengths"],
+        "project_l1_ball": ["w", "d"],
+        "soft_threshold": ["w", "theta"],
+    }
+    for name, expected in params.items():
+        assert list(inspect.signature(getattr(pes_denoise, name)).parameters) == expected, name

@@ -33,6 +33,9 @@ def test_name_normalization_and_validation():
         generate_test_signal("chirp", 64)
     with pytest.raises(ValueError):
         generate_test_signal("blocks", 8)
+    for n in (20.5, 64.0, True):
+        with pytest.raises(ValueError, match="signal length must be an integer"):
+            generate_test_signal("blocks", n)
 
 
 def test_blocks_has_eleven_jumps():
@@ -78,6 +81,13 @@ def test_noise_spec_validation():
         NoiseSpec(amplitude_fraction=1.5, seed=0)
     with pytest.raises(ValueError):
         NoiseSpec(amplitude_fraction=0.2, seed=-1)
+    # A bool is neither a fraction nor a seed, though it compares as 0 or 1.
+    for seed in (1.5, True, np.float64(2.0)):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            NoiseSpec(amplitude_fraction=0.2, seed=seed)
+    with pytest.raises(ValueError, match="noise fraction must be in"):
+        NoiseSpec(amplitude_fraction=True)
+    assert NoiseSpec(0.2, seed=np.int64(3)).seed == 3
 
 
 def test_noise_sigma_uses_signed_peak():
