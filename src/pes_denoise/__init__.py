@@ -25,9 +25,7 @@ from .harness import (
 )
 from .projections import (
     BallProjection,
-    BandProjection,
     EpigraphProjection,
-    project_epigraph_bands,
     project_epigraph_l1,
     project_l1_ball,
     soft_threshold,
@@ -44,7 +42,6 @@ from .signals import (
 from .spectrum import (
     BandwidthEstimate,
     estimate_bandwidth,
-    levels_for_bandwidth,
     magnitude_spectrum,
     select_levels,
 )
@@ -70,7 +67,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BANK_NAMES",
     "BallProjection",
-    "BandProjection",
     "BandwidthEstimate",
     "DEFAULT_BANK",
     "DenoiseConfig",
@@ -96,11 +92,9 @@ __all__ = [
     "generate_test_signal",
     "get_filter_bank",
     "grand_means",
-    "levels_for_bandwidth",
     "magnitude_spectrum",
     "noise_sigma",
     "parse_csv",
-    "project_epigraph_bands",
     "project_epigraph_l1",
     "project_l1_ball",
     "pyramid_analysis",

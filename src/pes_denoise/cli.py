@@ -71,10 +71,13 @@ def _load_config_file(path: str) -> dict:
             if dest not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key.strip()!r}")
             caster, is_list = _CONFIG_KEYS[dest]
-            if is_list:
-                values[dest] = [caster(part.strip()) for part in value.split(",") if part.strip()]
-            else:
-                values[dest] = caster(value.strip())
+            try:
+                if is_list:
+                    values[dest] = [caster(part.strip()) for part in value.split(",") if part.strip()]
+                else:
+                    values[dest] = caster(value.strip())
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad value for {key.strip()}: {exc}") from None
     return values
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .denoise import DenoiseConfig, denoise
-from .signals import NoiseSpec, _add_noise, _unit_noise, generate_test_signal, snr_db
+from .signals import NoiseSpec, _add_noise, _generator, _unit_noise, generate_test_signal, snr_db
 from .spectrum import _is_integer, select_levels
 
 DEFAULT_SIGNALS = ("blocks", "heavy-sine", "doppler", "bumps", "piece-regular", "cusp")
@@ -52,6 +52,8 @@ class ExperimentSpec:
             raise ValueError(f"n must be an integer >= 16, got {self.n}")
         if not _is_integer(self.base_seed) or self.base_seed < 0:
             raise ValueError(f"base_seed must be a nonnegative integer, got {self.base_seed}")
+        for name in self.signals:
+            _generator(name)  # raises ValueError for an unknown signal
         for fraction in self.noise_fractions:
             NoiseSpec(fraction)  # raises ValueError unless the fraction is in (0, 1]
         labels = [cfg.method for cfg in self.methods]

@@ -6,13 +6,12 @@ one without any noise-variance estimate: lifting the band w to (w, 0),
 projecting onto the boundary hyperplane of the epigraph, and reading off
 the implied ball size d gives a data-derived soft threshold.
 
-Every projection runs through one segmented kernel,
-:func:`project_epigraph_bands`: the last axis of a (T, N) array
-concatenates bands of given lengths, and each (row, band) pair is
-projected on its own, all in one call.  The 1-D functions are the case
-of one row and one band.  The public functions refuse NaN and infinite
-entries; denoise, which has checked its own input, calls the kernel
-directly.
+Every projection runs through one segmented kernel, :func:`_project`:
+the last axis of a (T, N) array concatenates bands of given lengths, and
+each (row, band) pair is projected on its own, all in one call.  The
+public 1-D functions are the case of one row and one band, and refuse
+NaN and infinite entries; denoise, which has checked its own input,
+calls the kernel directly.
 """
 
 from __future__ import annotations
@@ -231,37 +230,12 @@ def _project(
     return result
 
 
-def project_epigraph_bands(w: np.ndarray, lengths: tuple[int, ...] | None = None) -> BandProjection:
-    """Epigraph projection of every (row, band) of a (T, N) array.
-
-    The last axis concatenates bands of the given lengths (one band of
-    length N by default); each (row, band) pair is projected as
-    :func:`project_epigraph_l1` projects a 1-D band.  An all-zero band has
-    nothing to threshold and passes through unchanged on the fast path.
-    Raises ValueError on NaN or infinite entries.
-    """
-    w = _finite(w)
-    if w.ndim != 2:
-        raise ValueError(f"expected a (T, N) array, got shape {w.shape}")
-    lengths = (w.shape[-1],) if lengths is None else tuple(int(k) for k in lengths)
-    if min(lengths, default=0) < 1 or sum(lengths) != w.shape[-1]:
-        raise ValueError(
-            f"band lengths {lengths} do not tile the last axis of length {w.shape[-1]}"
-        )
-    return _project(w, lengths, None)
-
-
-def _finite(w: np.ndarray) -> np.ndarray:
+def _as_band(w: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(w):
         raise ValueError("input must be real, got complex entries")
     w = np.asarray(w, dtype=float)
     if not np.isfinite(w).all():
         raise ValueError("input contains NaN or infinite entries")
-    return w
-
-
-def _as_band(w: np.ndarray) -> np.ndarray:
-    w = _finite(w)
     if w.ndim != 1:
         raise ValueError(f"expected a 1-D band, got shape {w.shape}")
     return w

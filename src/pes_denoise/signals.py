@@ -108,16 +108,19 @@ _GENERATORS = {
 SIGNAL_NAMES = tuple(_GENERATORS)
 
 
+def _generator(name: str):
+    """The generator of a signal name, or ValueError naming the choices."""
+    try:
+        return _GENERATORS[name.strip().lower().replace("_", "-")]
+    except KeyError:
+        raise ValueError(f"unknown signal {name!r}; choose from {', '.join(SIGNAL_NAMES)}") from None
+
+
 def generate_test_signal(name: str, n: int) -> np.ndarray:
     """Return the named test signal at length n (deterministic)."""
     if not _is_integer(n) or n < 16:
         raise ValueError(f"signal length must be an integer >= 16, got {n}")
-    key = name.strip().lower().replace("_", "-")
-    try:
-        gen = _GENERATORS[key]
-    except KeyError:
-        raise ValueError(f"unknown signal {name!r}; choose from {', '.join(SIGNAL_NAMES)}") from None
-    return gen(n)
+    return _generator(name)(n)
 
 
 @dataclass(frozen=True)

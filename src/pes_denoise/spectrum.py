@@ -93,13 +93,6 @@ def _by_crossing(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return omega0, levels, (crossing == 0) | (math.pi / 2.0**levels <= omega0)
 
 
-def levels_for_bandwidth(omega0: float) -> int:
-    """Largest L in [1, MAX_LEVELS] with pi/2^L strictly above omega0."""
-    if not 0.0 < omega0 < math.pi:
-        raise ValueError(f"omega0 must lie in (0, pi), got {omega0}")
-    return int(_depth(omega0))
-
-
 def estimate_bandwidth(
     mag: np.ndarray, alpha: float = DEFAULT_ALPHA, smooth_window: int = DEFAULT_SMOOTH_WINDOW
 ) -> BandwidthEstimate:

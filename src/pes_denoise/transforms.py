@@ -20,7 +20,7 @@ rfft times the product of the stage kernel spectra up to that stage.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,8 +30,6 @@ class FilterBank:
     name: str
     analysis_lo: np.ndarray
     analysis_hi: np.ndarray
-    synthesis_lo: np.ndarray
-    synthesis_hi: np.ndarray
 
     @property
     def taps(self) -> int:
@@ -46,9 +44,7 @@ def qmf_highpass(lo: np.ndarray) -> np.ndarray:
 
 def _orthonormal_bank(name: str, lo) -> FilterBank:
     lo = np.asarray(lo, dtype=float)
-    hi = qmf_highpass(lo)
-    # Adjoint synthesis reuses the analysis taps for orthonormal banks.
-    return FilterBank(name, lo, hi, lo.copy(), hi.copy())
+    return FilterBank(name, lo, qmf_highpass(lo))
 
 
 _SQRT2 = np.sqrt(2.0)
@@ -99,8 +95,6 @@ def get_filter_bank(name: str) -> FilterBank:
 class SubbandSet:
     lowband: np.ndarray
     details: list[np.ndarray]  # finest first; each (..., band length)
-    levels: int
-    original_length: int
 
 
 def _levels_error(n: int, levels: int, taps: int) -> str | None:
@@ -169,11 +163,13 @@ def dwt_analysis(x: np.ndarray, bank: FilterBank, levels: int) -> SubbandSet:
     for _ in range(levels):
         current, detail = _dwt_step(current, lo, hi)
         details.append(detail)
-    return SubbandSet(lowband=current, details=details, levels=levels, original_length=n)
+    return SubbandSet(lowband=current, details=details)
 
 
 def dwt_synthesis(bands: SubbandSet, bank: FilterBank) -> np.ndarray:
-    lo, hi = bank.synthesis_lo, bank.synthesis_hi
+    """Inverse of dwt_analysis: every bank is orthonormal, so each step's
+    adjoint on the analysis taps inverts it."""
+    lo, hi = bank.analysis_lo, bank.analysis_hi
     current = np.asarray(bands.lowband)
     for detail in reversed(bands.details):
         if detail.shape[-1] != current.shape[-1]:
@@ -182,11 +178,7 @@ def dwt_synthesis(bands: SubbandSet, bank: FilterBank) -> np.ndarray:
                 f"vs detail {detail.shape[-1]}"
             )
         current = _idwt_step(current, detail, lo, hi)
-    if current.shape[-1] != bands.original_length:
-        raise ValueError(
-            f"bands reconstruct to length {current.shape[-1]}, expected {bands.original_length}"
-        )
-    return current * np.sqrt(bands.original_length)
+    return current * np.sqrt(current.shape[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +208,6 @@ def _kernel_spectrum(h: np.ndarray, n: int) -> np.ndarray:
 class PyramidSet:
     lows: np.ndarray  # (L, ..., n): stage k's lowband, finest first
     highs: np.ndarray  # (L, ..., n): stage k's highband, its input minus lows[k]
-    cutoffs: list[float] = field(default_factory=list)
 
     @property
     def stages(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -284,7 +275,7 @@ def pyramid_analysis(x: np.ndarray, cutoffs: list[float], taps: int = DEFAULT_TA
     highs = np.empty_like(lows)
     np.subtract(x, lows[0], out=highs[0])
     np.subtract(lows[:-1], lows[1:], out=highs[1:])
-    return PyramidSet(lows=lows, highs=highs, cutoffs=list(cutoffs))
+    return PyramidSet(lows=lows, highs=highs)
 
 
 def pyramid_synthesis(

@@ -94,6 +94,15 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert run(["generate", "--signal", "blocks", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("line", ["seed=3.5", "levels="])
+def test_config_file_bad_value_names_file_and_line(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"# comment\n{line}\n")
+    assert run(["experiment", "--trials", "1", "--n", "64", "--config", str(cfg)]) == 2
+    key = line.partition("=")[0]
+    assert f"error: {cfg}:2: bad value for {key}: " in capsys.readouterr().err
+
+
 def test_spectrum_verb(tmp_path, capsys):
     rc = run(["spectrum", "--signal", "piece-regular", "--n", "512", "--noise", "0.2",
               "--out", str(tmp_path / "s")])

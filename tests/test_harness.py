@@ -51,6 +51,15 @@ def test_spec_validation():
         ExperimentSpec(base_seed=1.5)
 
 
+def test_spec_refuses_an_unknown_signal_before_any_run():
+    with pytest.raises(ValueError) as refused:
+        ExperimentSpec(signals=("blocks", "nope"), trials=1, n=64)
+    with pytest.raises(ValueError) as generated:
+        generate_test_signal("nope", 64)
+    assert str(refused.value) == str(generated.value)
+    assert str(refused.value).startswith("unknown signal 'nope'")
+
+
 def test_run_experiment_is_deterministic():
     a = run_experiment(SMALL)
     b = run_experiment(SMALL)

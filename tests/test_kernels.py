@@ -93,8 +93,8 @@ def test_dwt_synthesis_matches_loop(name):
     rng = np.random.default_rng(62)
     for n in _lengths(bank):
         a, d = rng.normal(size=n // 2), rng.normal(size=n // 2)
-        y = dwt_synthesis(SubbandSet(lowband=a, details=[d], levels=1, original_length=n), bank)
-        want = idwt_step_loop(a, d, bank.synthesis_lo, bank.synthesis_hi) * math.sqrt(n)
+        y = dwt_synthesis(SubbandSet(lowband=a, details=[d]), bank)
+        want = idwt_step_loop(a, d, bank.analysis_lo, bank.analysis_hi) * math.sqrt(n)
         assert np.max(np.abs(y - want)) < 1e-12
 
 
@@ -103,7 +103,7 @@ def test_batched_steps_match_loops(name):
     # The synthesis step is a gather; the loop is the textbook scatter-add.
     # Bands of 1..3 coefficients wrap the filter around the output several times.
     bank = get_filter_bank(name)
-    lo, hi = bank.synthesis_lo, bank.synthesis_hi
+    lo, hi = bank.analysis_lo, bank.analysis_hi
     rng = np.random.default_rng(66)
     for half in sorted({1, 2, 3, bank.taps // 2, 2 * bank.taps, 33}):
         a, d = rng.normal(size=(3, half)), rng.normal(size=(3, half))

@@ -19,7 +19,6 @@ from pes_denoise._workspace import BLOCK_ELEMENTS
 from pes_denoise.projections import (
     _project,
     project_epigraph_l1,
-    project_epigraph_bands,
     project_l1_ball,
     soft_threshold,
 )
@@ -310,7 +309,7 @@ def test_epigraph_rows_are_independent():
     w[2] = np.sign(w[2]) * (1.0 + 0.001 * rng.uniform(size=40))  # no sign flips
     w[3, ::3] = 0.0
     w[4] = rng.integers(-2, 3, size=40)  # zeros and ties
-    rows = project_epigraph_bands(w)
+    rows = _project(w, (w.shape[-1],), None)
     w_p, d, fast_path = rows.w_p, rows.d[:, 0], rows.fast_path[:, 0]
     assert fast_path[2] and not fast_path[0]
     assert fast_path[1] and np.array_equal(w_p[1], np.zeros(40)) and rows.threshold[1, 0] == 0.0
@@ -371,7 +370,7 @@ def _rows_of_bands(seed, lengths, long_band, rows, kinds):
 @example(seed=4, lengths=[1, 2], long_band=_SEVENTH, rows=8)
 def test_segmented_kernel_equals_band_by_band(seed, lengths, long_band, rows):
     w, lengths = _rows_of_bands(seed, lengths, long_band, rows, _KINDS)
-    got = project_epigraph_bands(w, lengths)
+    got = _project(w, tuple(lengths), None)
     assert got.w_p.shape == w.shape
     assert got.d.shape == got.threshold.shape == got.fast_path.shape == (rows, len(lengths))
     ends = np.cumsum(lengths)
@@ -404,7 +403,7 @@ def test_segmented_kernel_equals_band_by_band(seed, lengths, long_band, rows):
 def test_segmented_kernel_matches_the_full_sort_oracle(seed, lengths, long_band, rows):
     # The kernel sorts only each band's candidates; the oracle sorts it all.
     w, lengths = _rows_of_bands(seed, lengths, long_band, rows, (*_KINDS, "tied"))
-    got = project_epigraph_bands(w, lengths)
+    got = _project(w, tuple(lengths), None)
     ends = np.cumsum(lengths)
     for t in range(rows):
         for b, (start, end) in enumerate(zip(ends - lengths, ends)):
@@ -463,8 +462,6 @@ def test_public_projections_refuse_non_finite_input(bad):
         project_l1_ball(band, 1.0)
     with pytest.raises(ValueError, match="NaN or infinite"):
         project_epigraph_l1(band)
-    with pytest.raises(ValueError, match="NaN or infinite"):
-        project_epigraph_bands(np.stack([band[::-1], band]), (2, 2))
 
 
 def test_public_projections_refuse_complex_input():
@@ -511,13 +508,3 @@ def test_fast_path_is_the_exact_cone_projection(seed, k, spread, zeros, scale):
     tol = 1e-12 * max(1.0, float(np.abs(band).sum()))
     assert np.max(np.abs(got.w_p - w_p)) <= tol
     assert abs(got.z_p - z) <= tol
-
-
-def test_segmented_kernel_validates_its_layout():
-    w = np.ones((2, 6))
-    with pytest.raises(ValueError, match="tile"):
-        project_epigraph_bands(w, (4, 1))
-    with pytest.raises(ValueError, match="tile"):
-        project_epigraph_bands(w, (6, 0))
-    with pytest.raises(ValueError, match="expected a"):
-        project_epigraph_bands(np.ones(6))

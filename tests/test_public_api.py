@@ -1,7 +1,7 @@
 """The package's public surface, pinned.
 
-Adding or removing a public name, or a DenoiseConfig field, should be a
-deliberate change to the lists below.
+Adding or removing a public name, or a field of DenoiseConfig or of a
+result type, should be a deliberate change to the lists below.
 """
 
 import dataclasses
@@ -14,7 +14,6 @@ from pes_denoise import DenoiseConfig
 PUBLIC_NAMES = [
     "BANK_NAMES",
     "BallProjection",
-    "BandProjection",
     "BandwidthEstimate",
     "DEFAULT_BANK",
     "DenoiseConfig",
@@ -40,11 +39,9 @@ PUBLIC_NAMES = [
     "generate_test_signal",
     "get_filter_bank",
     "grand_means",
-    "levels_for_bandwidth",
     "magnitude_spectrum",
     "noise_sigma",
     "parse_csv",
-    "project_epigraph_bands",
     "project_epigraph_l1",
     "project_l1_ball",
     "pyramid_analysis",
@@ -77,7 +74,6 @@ def test_spectrum_parameters_are_pinned():
         "alpha",
         "smooth_window",
     ]
-    assert list(inspect.signature(pes_denoise.levels_for_bandwidth).parameters) == ["omega0"]
 
 
 def test_denoise_parameters_are_pinned():
@@ -116,11 +112,22 @@ def test_config_fields_are_pinned():
     ]
 
 
+def test_result_fields_are_pinned():
+    # Every bank is orthonormal and synthesis reuses the analysis taps; a
+    # band set's depth and length follow from its arrays.
+    fields = {
+        pes_denoise.FilterBank: ["name", "analysis_lo", "analysis_hi"],
+        pes_denoise.SubbandSet: ["lowband", "details"],
+        pes_denoise.PyramidSet: ["lows", "highs"],
+    }
+    for cls, expected in fields.items():
+        assert [field.name for field in dataclasses.fields(cls)] == expected, cls.__name__
+
+
 def test_projection_parameters_are_pinned():
     # One normalisation, nnz+1: no projection takes a mode switch.
     params = {
         "project_epigraph_l1": ["w"],
-        "project_epigraph_bands": ["w", "lengths"],
         "project_l1_ball": ["w", "d"],
         "soft_threshold": ["w", "theta"],
     }

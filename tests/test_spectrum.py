@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from pes_denoise.signals import NoiseSpec, add_gaussian_noise, generate_test_signal
 from pes_denoise.spectrum import (
     MAX_LEVELS,
+    _depth,
     estimate_bandwidth,
-    levels_for_bandwidth,
     magnitude_spectrum,
     select_levels,
 )
@@ -46,14 +46,10 @@ def test_select_levels_refuses_complex_input():
         select_levels(np.ones(64) + 1j)
 
 
-def test_levels_for_bandwidth_hand_cases():
-    assert levels_for_bandwidth(58 * math.pi / 512) == 3  # pi/8 > omega0 >= pi/16
-    assert levels_for_bandwidth(math.pi / 4) == 1  # strict: pi/4 is NOT > pi/4
-    assert levels_for_bandwidth(1e-3) == 6  # capped at MAX_LEVELS
-    with pytest.raises(ValueError):
-        levels_for_bandwidth(0.0)
-    with pytest.raises(ValueError):
-        levels_for_bandwidth(math.pi)
+def test_depth_hand_cases():
+    assert _depth(58 * math.pi / 512) == 3  # pi/8 > omega0 >= pi/16
+    assert _depth(math.pi / 4) == 1  # strict: pi/4 is NOT > pi/4
+    assert _depth(1e-3) == 6  # capped at MAX_LEVELS
 
 
 def _at_every_cutoff_edge(test):
@@ -68,9 +64,9 @@ def _at_every_cutoff_edge(test):
 @settings(max_examples=300, deadline=None)
 @given(omega0=st.floats(0.0, math.pi, exclude_min=True, exclude_max=True))
 @_at_every_cutoff_edge
-def test_levels_for_bandwidth_matches_brute_force(omega0):
+def test_depth_matches_brute_force(omega0):
     brute = max([L for L in range(1, 7) if math.pi / 2**L > omega0], default=1)
-    assert levels_for_bandwidth(omega0) == brute
+    assert _depth(omega0) == brute
 
 
 def _half_spectrum(rng: np.random.Generator, kind: str, m: int) -> np.ndarray:

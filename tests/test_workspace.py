@@ -13,7 +13,7 @@ import pytest
 
 from pes_denoise import DenoiseConfig, denoise, generate_test_signal
 from pes_denoise._workspace import BLOCK_ELEMENTS, _local
-from pes_denoise.projections import project_epigraph_bands
+from pes_denoise.projections import _project
 from pes_denoise.transforms import default_cutoffs, pyramid_analysis
 
 METHODS = ("pes-wavelet", "pes-pyramid", "universal", "three-sigma")
@@ -38,13 +38,13 @@ def test_outputs_do_not_change_when_later_calls_run():
     x = _batch(1, 10)
     outputs = [denoise(x, DenoiseConfig(method=m)) for m in METHODS]
     pyramid = pyramid_analysis(x, default_cutoffs(5))
-    bands = project_epigraph_bands(pyramid.highs.reshape(-1, x.shape[-1]))
+    bands = _project(pyramid.highs.reshape(-1, x.shape[-1]), (x.shape[-1],), None)
     kept = [array.copy() for array in (*outputs, pyramid.lows, pyramid.highs, bands.w_p)]
     later = _batch(2, 30)
     for method in METHODS:
         denoise(later, DenoiseConfig(method=method, levels=3))
     pyramid_analysis(later, default_cutoffs(6))
-    project_epigraph_bands(later, (512, 256, 256))
+    _project(later, (512, 256, 256), None)
     for array, copy in zip((*outputs, pyramid.lows, pyramid.highs, bands.w_p), kept):
         assert np.array_equal(array, copy)
         assert not any(np.shares_memory(array, buffer) for buffer in _local.buffers.values())
