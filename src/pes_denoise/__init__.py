@@ -7,12 +7,7 @@ baselines, test-signal generators, and a Monte-Carlo experiment harness
 with a CLI (``pes-denoise``).
 """
 
-from .denoise import (
-    DenoiseConfig,
-    denoise,
-    estimate_sigma,
-    universal_threshold,
-)
+from .denoise import DenoiseConfig, denoise, estimate_sigma
 from .harness import (
     ExperimentReport,
     ExperimentSpec,
@@ -20,7 +15,6 @@ from .harness import (
     emit_csv,
     emit_spectrum_csv,
     grand_means,
-    parse_csv,
     run_experiment,
 )
 from .projections import (
@@ -35,7 +29,6 @@ from .signals import (
     NoiseSpec,
     add_gaussian_noise,
     generate_test_signal,
-    noise_sigma,
     signal_to_csv,
     snr_db,
 )
@@ -52,14 +45,12 @@ from .transforms import (
     PyramidSet,
     SubbandSet,
     default_cutoffs,
-    design_lowpass,
     dwt_analysis,
     dwt_synthesis,
     get_filter_bank,
     pyramid_analysis,
     pyramid_max_levels,
     pyramid_synthesis,
-    qmf_highpass,
 )
 
 __version__ = "0.1.0"
@@ -82,7 +73,6 @@ __all__ = [
     "add_gaussian_noise",
     "default_cutoffs",
     "denoise",
-    "design_lowpass",
     "dwt_analysis",
     "dwt_synthesis",
     "emit_csv",
@@ -93,18 +83,14 @@ __all__ = [
     "get_filter_bank",
     "grand_means",
     "magnitude_spectrum",
-    "noise_sigma",
-    "parse_csv",
     "project_epigraph_l1",
     "project_l1_ball",
     "pyramid_analysis",
     "pyramid_max_levels",
     "pyramid_synthesis",
-    "qmf_highpass",
     "run_experiment",
     "select_levels",
     "signal_to_csv",
     "snr_db",
     "soft_threshold",
-    "universal_threshold",
 ]

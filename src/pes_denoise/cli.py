@@ -36,7 +36,7 @@ from .signals import (
     snr_db,
 )
 from .spectrum import estimate_bandwidth, magnitude_spectrum
-from .transforms import DEFAULT_BANK, DEFAULT_TAPS
+from .transforms import DEFAULT_BANK
 
 
 # dest -> (caster, splits on commas)
@@ -48,10 +48,6 @@ _CONFIG_KEYS = {
     "seed": (int, False),
     "levels": (int, False),
     "bank": (str, False),
-    "gamma": (float, False),
-    "alpha": (float, False),
-    "taps": (int, False),
-    "smooth_window": (int, False),
     "n": (int, False),
     "out": (str, False),
 }
@@ -125,8 +121,7 @@ def _write_or_print(out_dir: str | None, filename: str, content: str) -> None:
 
 
 def _denoise_config(ns: argparse.Namespace, method: str) -> DenoiseConfig:
-    given = _given(ns, "bank", "levels", "gamma", "taps", "alpha", "smooth_window")
-    return DenoiseConfig(method=method, **given)
+    return DenoiseConfig(method=method, **_given(ns, "bank", "levels"))
 
 
 def _cmd_generate(ns: argparse.Namespace) -> int:
@@ -165,7 +160,7 @@ def _cmd_spectrum(ns: argparse.Namespace) -> int:
     if ns.noise is not None:
         x = add_gaussian_noise(x, NoiseSpec(_single(ns.noise, "noise"), ns.seed))
     mag = magnitude_spectrum(x)
-    estimate = estimate_bandwidth(mag, **_given(ns, "alpha", "smooth_window"))
+    estimate = estimate_bandwidth(mag)
     omegas = np.arange(mag.shape[0]) * (2 * math.pi / ns.n)
     _write_or_print(ns.out, f"{name}_spectrum.csv", emit_spectrum_csv(omegas, mag))
     depths = " ".join(f"{m}={clamp_depth(estimate.levels, DenoiseConfig(m), ns.n)}" for m in METHODS)
@@ -226,19 +221,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, help="signal length (default 1024)")
         p.add_argument("--signal", action="append", choices=SIGNAL_NAMES, help="signal name")
 
-    def add_spectrum_opts(p: argparse.ArgumentParser) -> None:
+    def add_noise_opts(p: argparse.ArgumentParser) -> None:
         p.add_argument("--noise", action="append", type=float, help="noise fraction of peak")
         p.add_argument("--seed", type=int, help="RNG seed (default 0)")
-        p.add_argument("--alpha", type=float, help="bandwidth floor multiplier (default 3)")
-        p.add_argument("--smooth-window", type=int, help="spectrum smoothing bins (default 9)")
 
     def add_method_opts(p: argparse.ArgumentParser) -> None:
-        add_spectrum_opts(p)
+        add_noise_opts(p)
         p.add_argument("--method", action="append", choices=METHODS, help="denoising method")
         p.add_argument("--levels", type=int, help="decomposition depth (default: from spectrum)")
         p.add_argument("--bank", help="wavelet filter bank (default db4)")
-        p.add_argument("--gamma", type=float, help="universal-threshold scale (default 1)")
-        p.add_argument("--taps", type=int, help=f"pyramid FIR length, odd (default {DEFAULT_TAPS})")
 
     p_gen = sub.add_parser("generate", help="emit a clean test signal as CSV")
     add_common(p_gen)
@@ -249,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spec = sub.add_parser("spectrum", help="emit the magnitude spectrum and level choice")
     add_common(p_spec)
-    add_spectrum_opts(p_spec)
+    add_noise_opts(p_spec)
 
     p_exp = sub.add_parser("experiment", help="run the Monte-Carlo SNR table")
     add_common(p_exp)

@@ -19,18 +19,11 @@ import numpy as np
 
 from ._workspace import BLOCK_ELEMENTS, scratch
 from .projections import _project, soft_threshold
-from .spectrum import (
-    DEFAULT_ALPHA,
-    DEFAULT_SMOOTH_WINDOW,
-    MAX_LEVELS,
-    _is_integer,
-    check_spectrum_options,
-    row_median,
-    select_levels,
-)
+from .spectrum import MAX_LEVELS, _is_integer, row_median, select_levels
 from .transforms import (
     DEFAULT_BANK,
     DEFAULT_TAPS,
+    _as_real,
     _cascade_spectra,
     _fill_lows,
     default_cutoffs,
@@ -47,10 +40,6 @@ class DenoiseConfig:
     method: str = "pes-wavelet"
     bank: str = DEFAULT_BANK
     levels: int | None = None  # None -> choose from the spectrum
-    gamma: float = 1.0
-    taps: int = DEFAULT_TAPS
-    alpha: float = DEFAULT_ALPHA
-    smooth_window: int = DEFAULT_SMOOTH_WINDOW
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
@@ -58,12 +47,6 @@ class DenoiseConfig:
         get_filter_bank(self.bank)  # raises ValueError for an unknown bank
         if self.levels is not None and (not _is_integer(self.levels) or self.levels < 1):
             raise ValueError(f"levels must be an integer >= 1, got {self.levels}")
-        if not self.gamma >= 0:
-            raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
-        if not _is_integer(self.taps) or self.taps < 3 or self.taps % 2 == 0:
-            raise ValueError(f"taps must be an odd integer >= 3, got {self.taps}")
-        # Checked here too, since an explicit depth never runs the spectrum.
-        check_spectrum_options(self.alpha, self.smooth_window)
 
 
 def estimate_sigma(finest_detail: np.ndarray) -> float | np.ndarray:
@@ -96,7 +79,7 @@ def _wavelet(rows: np.ndarray, levels: int, cfg: DenoiseConfig, shrink) -> np.nd
     bank = get_filter_bank(cfg.bank)
     bands = dwt_analysis(rows, bank, levels)
     lengths = tuple(band.shape[-1] for band in bands.details)
-    shrunk = shrink(np.concatenate(bands.details, axis=-1), lengths, rows.shape[-1], cfg)
+    shrunk = shrink(np.concatenate(bands.details, axis=-1), lengths, rows.shape[-1])
     details = np.split(shrunk, np.cumsum(lengths)[:-1], axis=-1)
     return dwt_synthesis(replace(bands, details=details), bank)
 
@@ -108,7 +91,7 @@ def _pyramid(rows: np.ndarray, levels: int, cfg: DenoiseConfig, shrink) -> np.nd
     Each stage's lowband is overwritten by its highband, and shrink gets
     every highband of a block as one row of an (L*rows, n) array."""
     n = rows.shape[-1]
-    cascades = _cascade_spectra(tuple(default_cutoffs(levels)), cfg.taps, n)
+    cascades = _cascade_spectra(tuple(default_cutoffs(levels)), DEFAULT_TAPS, n)
     out = np.empty_like(rows)
     block = max(1, BLOCK_ELEMENTS // (levels * n))  # L*block*n values fill about one block
     for r0 in range(0, rows.shape[0], block):
@@ -120,47 +103,36 @@ def _pyramid(rows: np.ndarray, levels: int, cfg: DenoiseConfig, shrink) -> np.nd
         for k in range(levels - 1, 0, -1):
             np.subtract(bands[k - 1], bands[k], out=bands[k])
         np.subtract(x, bands[0], out=bands[0])
-        highs = shrink(bands.reshape(-1, n), (n,), n, cfg).reshape(bands.shape)
+        highs = shrink(bands.reshape(-1, n), (n,), n).reshape(bands.shape)
         for high in highs[::-1]:  # coarsest first, as pyramid_synthesis sums
             y += high
     return out
 
 
-def universal_threshold(
-    sigma: float | np.ndarray, n: int, gamma: float = 1.0
-) -> float | np.ndarray:
-    """gamma * sigma * sqrt(2 ln N / N) with sigma in signal units."""
-    return gamma * sigma * np.sqrt(2.0 * np.log(n) / n)
-
-
-def _epigraph_shrink(
-    bands: np.ndarray, lengths: tuple[int, ...], n: int, cfg: DenoiseConfig
-) -> np.ndarray:
+def _epigraph_shrink(bands: np.ndarray, lengths: tuple[int, ...], n: int) -> np.ndarray:
     """Each band's own threshold, from its epigraph projection, applied in place."""
     return _project(bands, lengths, None, out=bands).w_p
 
 
-def _universal_shrink(
-    bands: np.ndarray, lengths: tuple[int, ...], n: int, cfg: DenoiseConfig
-) -> np.ndarray:
-    """One universal threshold across all bands (needs sigma-hat from the finest)."""
+def _universal_shrink(bands: np.ndarray, lengths: tuple[int, ...], n: int) -> np.ndarray:
+    """One universal threshold, sigma * sqrt(2 ln N) in signal units (Donoho &
+    Johnstone 1994), across all bands; sigma-hat comes from the finest."""
     # Band coefficients carry the analysis 1/sqrt(N) scale; the MAD there
-    # estimates sigma/sqrt(N), so scale back up to signal units.
+    # estimates sigma/sqrt(N), so scale back up to signal units before the
+    # threshold's own 1/sqrt(N) brings it down again.
     sigma = estimate_sigma(bands[:, : lengths[0]]) * np.sqrt(n)
-    return soft_threshold(bands, universal_threshold(sigma, n, cfg.gamma)[:, None])
+    return soft_threshold(bands, (sigma * np.sqrt(2.0 * np.log(n) / n))[:, None])
 
 
-def _three_sigma_shrink(
-    bands: np.ndarray, lengths: tuple[int, ...], n: int, cfg: DenoiseConfig
-) -> np.ndarray:
+def _three_sigma_shrink(bands: np.ndarray, lengths: tuple[int, ...], n: int) -> np.ndarray:
     """Soft threshold 3*sigma-hat in every band, sigma-hat from the finest."""
     return soft_threshold(bands, 3.0 * estimate_sigma(bands[:, : lengths[0]])[:, None])
 
 
 # Each method is a decomposition of the rows at one depth plus the shrink
 # rule it applies to the bands.  A shrink rule gets the (rows, N) bands,
-# their band lengths, the signal length and the config, and returns the
-# shrunk bands; it may shrink them in place.
+# their band lengths and the signal length, and returns the shrunk bands;
+# it may shrink them in place.
 _METHODS = {
     "pes-wavelet": (_wavelet, _epigraph_shrink),
     "pes-pyramid": (_pyramid, _epigraph_shrink),
@@ -170,29 +142,34 @@ _METHODS = {
 METHODS = tuple(_METHODS)
 
 
+def _check_length(method: str, n: int) -> None:
+    """Raise ValueError unless method runs on signals of length n: a DWT
+    halves the length at every level, so it needs an even n."""
+    if n % 2 and _METHODS[method][0] is _wavelet:
+        raise ValueError(f"{method} needs an even signal length, got n={n}")
+
+
 def denoise(x: np.ndarray, cfg: DenoiseConfig, spectrum_levels=None) -> np.ndarray:
     """Denoise x along its last axis with the method cfg names.
 
     x is one signal of shape (n,) or a batch of shape (T, n), with
-    n >= 16 and every sample real and finite.  Each row is denoised on its
-    own, with its own depth and (for the baselines) its own sigma-hat; the
-    output has x's shape.
+    n >= 16 (and even for the DWT methods) and every sample real and
+    finite.  Each row is denoised on its own, with its own depth and (for
+    the baselines) its own sigma-hat; the output has x's shape.
 
     The depth is cfg.levels when set, else each row's spectrum depth,
     clamped by clamp_depth.  spectrum_levels, when given, are those
-    depths as select_levels(x, cfg.alpha, cfg.smooth_window) returns
-    them (an int for 1-D x, a (T,) integer array for a batch), so that
-    callers running several methods on one x select them once; without
-    it, denoise selects them itself.  For pes-pyramid an explicit
-    cfg.levels must satisfy 2^(levels+1) <= n.
+    depths as select_levels(x) returns them (an int for 1-D x, a (T,)
+    integer array for a batch), so that callers running several methods
+    on one x select them once; without it, denoise selects them itself.
+    For pes-pyramid an explicit cfg.levels must satisfy 2^(levels+1) <= n.
     """
-    if np.iscomplexobj(x):
-        raise ValueError("input must be real, got complex samples")
-    x = np.asarray(x, dtype=float)
+    x = _as_real(x)
     if x.ndim not in (1, 2):
         raise ValueError(f"expected shape (n,) or (T, n), got {x.ndim}-D input of shape {x.shape}")
     if x.shape[-1] < 16:
         raise ValueError(f"need at least 16 samples along the last axis, got {x.shape[-1]}")
+    _check_length(cfg.method, x.shape[-1])
     if x.shape[0] == 0:
         raise ValueError("cannot denoise a batch with no rows")
     if not np.isfinite(x).all():
@@ -210,7 +187,7 @@ def denoise(x: np.ndarray, cfg: DenoiseConfig, spectrum_levels=None) -> np.ndarr
         depths = np.full(rows.shape[0], cfg.levels)
     else:
         if spectrum_levels is None:
-            spectrum_levels = select_levels(rows, cfg.alpha, cfg.smooth_window)
+            spectrum_levels = select_levels(rows)
         depths = clamp_depth(spectrum_levels, cfg, x.shape[-1])
     decompose, shrink = _METHODS[cfg.method]
     groups = sorted(set(depths.tolist()))

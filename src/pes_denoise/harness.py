@@ -9,8 +9,8 @@ so a report is deterministic for a given seed.
 Each piece of work is done once: the unit noise is drawn once per
 experiment and scaled for each cell (row t is bit for bit
 add_gaussian_noise(clean, NoiseSpec(fraction, base_seed + t))), and each
-cell's depths come from one select_levels call per distinct spectrum
-setting, which every method given no explicit depth then clamps on its own.
+cell's depths come from one select_levels call, which every method given
+no explicit depth then clamps on its own.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .denoise import DenoiseConfig, denoise
+from .denoise import DenoiseConfig, _check_length, denoise
 from .signals import NoiseSpec, _add_noise, _generator, _unit_noise, generate_test_signal, snr_db
 from .spectrum import _is_integer, select_levels
 
@@ -52,10 +52,15 @@ class ExperimentSpec:
             raise ValueError(f"n must be an integer >= 16, got {self.n}")
         if not _is_integer(self.base_seed) or self.base_seed < 0:
             raise ValueError(f"base_seed must be a nonnegative integer, got {self.base_seed}")
+        for name in ("signals", "noise_fractions", "methods"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
         for name in self.signals:
             _generator(name)  # raises ValueError for an unknown signal
         for fraction in self.noise_fractions:
             NoiseSpec(fraction)  # raises ValueError unless the fraction is in (0, 1]
+        for cfg in self.methods:
+            _check_length(cfg.method, self.n)
         labels = [cfg.method for cfg in self.methods]
         shared = sorted({label for label in labels if labels.count(label) > 1})
         if shared:
@@ -98,8 +103,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     rows: list[ReportRow] = []
     errors: list[str] = []
     unit = np.stack([_unit_noise(spec.base_seed + trial, spec.n) for trial in range(spec.trials)])
-    # The spectrum settings of the methods that take their depth from it.
-    plans = {(cfg.alpha, cfg.smooth_window) for cfg in spec.methods if cfg.levels is None}
 
     for signal_name in spec.signals:
         clean = generate_test_signal(signal_name, spec.n)
@@ -107,11 +110,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
             try:
                 noisy = _add_noise(clean, fraction, unit)
                 input_snrs = snr_db(clean, noisy)
-                depths = {plan: select_levels(noisy, *plan) for plan in plans}
-                outputs = [
-                    snr_db(clean, denoise(noisy, cfg, depths.get((cfg.alpha, cfg.smooth_window))))
-                    for cfg in spec.methods
-                ]
+                depths = select_levels(noisy)
+                outputs = [snr_db(clean, denoise(noisy, cfg, depths)) for cfg in spec.methods]
             except Exception as exc:  # noqa: BLE001 - cell aborts, error is reported
                 errors.append(f"{signal_name}/{fraction:g}: {type(exc).__name__}: {exc}")
                 continue
@@ -143,27 +143,6 @@ def emit_csv(report: ExperimentReport) -> str:
             f"{row.stddev_output_snr_db:.4f},{row.trials}"
         )
     return "\n".join(lines) + "\n"
-
-
-def parse_csv(text: str) -> ExperimentReport:
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError("missing or unexpected report header")
-    rows = []
-    for line in lines[1:]:
-        signal, fraction, method, snr_in, snr_out, std, trials = line.split(",")
-        rows.append(
-            ReportRow(
-                signal=signal,
-                fraction=float(fraction),
-                method=method,
-                mean_input_snr_db=float(snr_in),
-                mean_output_snr_db=float(snr_out),
-                stddev_output_snr_db=float(std),
-                trials=int(trials),
-            )
-        )
-    return ExperimentReport(rows=tuple(rows))
 
 
 def emit_spectrum_csv(omegas: np.ndarray, magnitudes: np.ndarray) -> str:

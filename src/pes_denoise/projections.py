@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._workspace import BLOCK_ELEMENTS, scratch
+from .transforms import _as_real
 
 _SIGN_TIE_TOL = 1e-12
 # Rounding margin of the candidate floor, per entry of a band and per unit
@@ -38,7 +39,7 @@ def soft_threshold(w: np.ndarray, theta: float | np.ndarray) -> np.ndarray:
     """
     if not (np.asarray(theta) >= 0).all():
         raise ValueError(f"threshold must be nonnegative, got {theta}")
-    w = np.asarray(w, dtype=float)
+    w = _as_real(w)
     out = np.empty(np.broadcast(w, theta).shape)
     return _soft(np.abs(w, out=out), theta, w, out)
 
@@ -231,9 +232,7 @@ def _project(
 
 
 def _as_band(w: np.ndarray) -> np.ndarray:
-    if np.iscomplexobj(w):
-        raise ValueError("input must be real, got complex entries")
-    w = np.asarray(w, dtype=float)
+    w = _as_real(w)
     if not np.isfinite(w).all():
         raise ValueError("input contains NaN or infinite entries")
     if w.ndim != 1:

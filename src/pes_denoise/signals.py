@@ -137,7 +137,7 @@ class NoiseSpec:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
 
 
-def noise_sigma(v: np.ndarray, amplitude_fraction: float) -> float:
+def _noise_sigma(v: np.ndarray, amplitude_fraction: float) -> float:
     """Noise standard deviation for a clean signal at the given fraction.
 
     The scale is the positive peak max(v); for signals without one the
@@ -155,7 +155,7 @@ def _unit_noise(seed: int, n: int) -> np.ndarray:
 
 
 def _add_noise(v: np.ndarray, amplitude_fraction: float, unit: np.ndarray) -> np.ndarray:
-    """v + noise_sigma(v, amplitude_fraction) * unit, elementwise.
+    """v + _noise_sigma(v, amplitude_fraction) * unit, elementwise.
 
     unit is one (n,) draw of _unit_noise or a (T, n) stack of them; each
     row of the result is then bit for bit the add_gaussian_noise output
@@ -164,13 +164,14 @@ def _add_noise(v: np.ndarray, amplitude_fraction: float, unit: np.ndarray) -> np
     v = np.asarray(v, dtype=float)
     if not np.any(v):
         raise ValueError("cannot scale noise to an all-zero signal")
-    return v + noise_sigma(v, amplitude_fraction) * unit
+    return v + _noise_sigma(v, amplitude_fraction) * unit
 
 
 def add_gaussian_noise(v: np.ndarray, spec: NoiseSpec) -> np.ndarray:
     """Corrupt v with i.i.d. zero-mean Gaussian noise: v + sigma * z, with
-    sigma = noise_sigma(v, spec.amplitude_fraction) and z the standard
-    normal samples (PCG64 ziggurat) that spec.seed draws."""
+    sigma = spec.amplitude_fraction times v's positive peak max(v) (its
+    absolute peak when max(v) <= 0) and z the standard normal samples
+    (PCG64 ziggurat) that spec.seed draws."""
     v = np.asarray(v, dtype=float)
     return _add_noise(v, spec.amplitude_fraction, _unit_noise(spec.seed, v.shape[0]))
 

@@ -2,10 +2,11 @@
 
 The decomposition depth L is the largest one, up to MAX_LEVELS, with
 pi/2^L strictly above the observed signal bandwidth omega0.  The
-bandwidth is read off the smoothed magnitude spectrum: the top quarter
-of the band is treated as noise-dominated, its median sets the noise
-floor, and omega0 is the lowest frequency above which the smoothed
-magnitude never exceeds alpha times that floor.
+bandwidth is read off the magnitude spectrum, smoothed by a moving
+average over SMOOTH_WINDOW bins: the top quarter of the band is treated
+as noise-dominated, its median sets the noise floor, and omega0 is the
+lowest frequency above which the smoothed magnitude never exceeds ALPHA
+times that floor.
 """
 
 from __future__ import annotations
@@ -17,8 +18,10 @@ from numbers import Integral
 
 import numpy as np
 
-DEFAULT_ALPHA = 3.0
-DEFAULT_SMOOTH_WINDOW = 9
+from .transforms import _as_real
+
+ALPHA = 3.0
+SMOOTH_WINDOW = 9
 MAX_LEVELS = 6
 _CUTOFFS = math.pi / 2.0 ** np.arange(1, MAX_LEVELS + 1)  # pi/2^L, L = 1..MAX_LEVELS
 
@@ -38,20 +41,10 @@ def _is_integer(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
-def check_spectrum_options(alpha: float, smooth_window: int) -> None:
-    """Raise ValueError unless alpha > 1 and smooth_window is a positive odd integer."""
-    if not alpha > 1.0:
-        raise ValueError(f"alpha must exceed 1, got {alpha}")
-    if not _is_integer(smooth_window) or smooth_window < 1 or smooth_window % 2 == 0:
-        raise ValueError(f"smooth window must be a positive odd integer, got {smooth_window}")
-
-
 def magnitude_spectrum(x: np.ndarray) -> np.ndarray:
     """|DFT| at bins 0..N/2 along the last axis (real-input half spectrum);
     bin k <-> 2*pi*k/N."""
-    if np.iscomplexobj(x):
-        raise ValueError("input must be real, got complex samples")
-    x = np.asarray(x, dtype=float)
+    x = _as_real(x)
     if x.shape[-1] < 16:
         raise ValueError(f"need at least 16 samples along the last axis, got {x.shape[-1]}")
     return np.abs(np.fft.rfft(x, axis=-1))
@@ -67,13 +60,14 @@ def row_median(a: np.ndarray) -> np.ndarray:
     return (part[..., lo] + part[..., hi]) / 2
 
 
-def _smooth(mag: np.ndarray, window: int) -> np.ndarray:
-    """Moving average along each row of a (T, m) array, edges reflected."""
-    h = window // 2
+def _smooth(mag: np.ndarray) -> np.ndarray:
+    """SMOOTH_WINDOW-bin moving average along each row of a (T, m) array,
+    edges reflected."""
+    h = SMOOTH_WINDOW // 2
     if mag.shape[-1] <= h:
-        raise ValueError(f"need more than {h} spectrum bins for a {window}-bin window")
+        raise ValueError(f"need more than {h} spectrum bins for a {SMOOTH_WINDOW}-bin window")
     padded = np.concatenate([mag[:, h:0:-1], mag, mag[:, -2:-h - 2:-1]], axis=-1)
-    kernel = np.ones(window) / window
+    kernel = np.ones(SMOOTH_WINDOW) / SMOOTH_WINDOW
     return np.array([np.convolve(row, kernel, mode="valid") for row in padded])
 
 
@@ -93,23 +87,22 @@ def _by_crossing(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return omega0, levels, (crossing == 0) | (math.pi / 2.0**levels <= omega0)
 
 
-def estimate_bandwidth(
-    mag: np.ndarray, alpha: float = DEFAULT_ALPHA, smooth_window: int = DEFAULT_SMOOTH_WINDOW
-) -> BandwidthEstimate:
+def estimate_bandwidth(mag: np.ndarray) -> BandwidthEstimate:
     """Bandwidth and depth from a half spectrum of shape (m,) or (T, m).
 
     A row where nothing clears the floor gets the first bin and MAX_LEVELS,
     and one that clears it up to the Nyquist bin gets omega0 = pi and depth
     1; both are flagged degenerate, as is any depth not above omega0.
     """
-    check_spectrum_options(alpha, smooth_window)
     mag = np.asarray(mag, dtype=float)
     if mag.ndim not in (1, 2):
         raise ValueError(f"expected a half spectrum of shape (m,) or (T, m), got shape {mag.shape}")
-    smoothed = _smooth(np.atleast_2d(mag), smooth_window)
+    if not np.isfinite(mag).all():
+        raise ValueError("half spectrum contains NaN or infinite values")
+    smoothed = _smooth(np.atleast_2d(mag))
     m = smoothed.shape[-1]
     noise_floor = row_median(smoothed[:, (3 * m) // 4:])
-    above = smoothed >= alpha * noise_floor[:, None]
+    above = smoothed >= ALPHA * noise_floor[:, None]
     # One past the last bin that clears the floor, 0 when none does.
     crossing = np.where(above.any(axis=-1), m - np.argmax(above[:, ::-1], axis=-1), 0)
     omega0, levels, degenerate = (table[crossing] for table in _by_crossing(m))
@@ -117,9 +110,7 @@ def estimate_bandwidth(
     return BandwidthEstimate(*(field.item() for field in fields) if mag.ndim == 1 else fields)
 
 
-def select_levels(
-    x: np.ndarray, alpha: float = DEFAULT_ALPHA, smooth_window: int = DEFAULT_SMOOTH_WINDOW
-) -> int | np.ndarray:
+def select_levels(x: np.ndarray) -> int | np.ndarray:
     """Decomposition depth for a (noisy) signal, straight from its spectrum:
     an int for a 1-D signal, an int array with one per row for a (T, n) array."""
-    return estimate_bandwidth(magnitude_spectrum(x), alpha, smooth_window).levels
+    return estimate_bandwidth(magnitude_spectrum(x)).levels

@@ -36,7 +36,15 @@ class FilterBank:
         return int(self.analysis_lo.shape[0])
 
 
-def qmf_highpass(lo: np.ndarray) -> np.ndarray:
+def _as_real(x) -> np.ndarray:
+    """x as a float array; ValueError for complex x, whose imaginary part a
+    float cast would drop."""
+    if np.iscomplexobj(x):
+        raise ValueError("input must be real, got complex samples")
+    return np.asarray(x, dtype=float)
+
+
+def _qmf_highpass(lo: np.ndarray) -> np.ndarray:
     """Quadrature-mirror highpass: hi[k] = (-1)^k * lo[M-1-k]."""
     m = lo.shape[0]
     return np.array([(-1) ** k * lo[m - 1 - k] for k in range(m)])
@@ -44,7 +52,7 @@ def qmf_highpass(lo: np.ndarray) -> np.ndarray:
 
 def _orthonormal_bank(name: str, lo) -> FilterBank:
     lo = np.asarray(lo, dtype=float)
-    return FilterBank(name, lo, qmf_highpass(lo))
+    return FilterBank(name, lo, _qmf_highpass(lo))
 
 
 _SQRT2 = np.sqrt(2.0)
@@ -112,10 +120,9 @@ def _levels_error(n: int, levels: int, taps: int) -> str | None:
 
 def feasible_levels(n: int, levels: int, taps: int) -> int:
     """The largest depth <= levels that a length-n DWT with taps-long filters
-    accepts, or 1 when none does (dwt_analysis then says why)."""
-    while levels > 1 and _levels_error(n, levels, taps) is not None:
-        levels -= 1
-    return levels
+    accepts, 0 when none does: 2^depth must divide n (n & -n is the largest
+    power of 2 that does), and stage depth must see taps samples or more."""
+    return min(levels, (n & -n).bit_length() - 1, (n // taps).bit_length())
 
 
 @functools.lru_cache(maxsize=64)
@@ -152,7 +159,7 @@ def _idwt_step(a: np.ndarray, d: np.ndarray, lo: np.ndarray, hi: np.ndarray):
 
 
 def dwt_analysis(x: np.ndarray, bank: FilterBank, levels: int) -> SubbandSet:
-    x = np.asarray(x, dtype=float)
+    x = _as_real(x)
     n = x.shape[-1]
     error = _levels_error(n, levels, bank.taps)
     if error is not None:
@@ -185,7 +192,7 @@ def dwt_synthesis(bands: SubbandSet, bank: FilterBank) -> np.ndarray:
 # pyramid
 
 
-def design_lowpass(cutoff: float, taps: int) -> np.ndarray:
+def _design_lowpass(cutoff: float, taps: int) -> np.ndarray:
     """Hamming-windowed sinc lowpass, DC gain normalized to exactly 1."""
     if taps < 3 or taps % 2 == 0:
         raise ValueError(f"taps must be an odd integer >= 3, got {taps}")
@@ -229,7 +236,7 @@ def pyramid_max_levels(n: int) -> int:
 @functools.lru_cache(maxsize=64)
 def _cascade_spectra(cutoffs: tuple[float, ...], taps: int, n: int) -> tuple[np.ndarray, ...]:
     """Read-only spectra of the stage cascades: entry k is the product of
-    the design_lowpass(cutoff, taps) kernel spectra of cutoffs[0..k], since
+    the _design_lowpass(cutoff, taps) kernel spectra of cutoffs[0..k], since
     stage k filters stage k-1's lowband.  Pyramids whose cutoffs share a
     prefix share its arrays.  Raises ValueError unless the cutoffs are one
     or more, strictly decreasing, and the last spans a DFT bin at length n.
@@ -243,7 +250,7 @@ def _cascade_spectra(cutoffs: tuple[float, ...], taps: int, n: int) -> tuple[np.
             f"cutoff {cutoffs[-1]:.6g} is below the DFT bin spacing 2*pi/{n}: "
             f"an octave pyramid at length {n} has at most {pyramid_max_levels(n)} stages"
         )
-    spectrum = _kernel_spectrum(design_lowpass(cutoffs[-1], taps), n)
+    spectrum = _kernel_spectrum(_design_lowpass(cutoffs[-1], taps), n)
     shallower = _cascade_spectra(cutoffs[:-1], taps, n) if len(cutoffs) > 1 else ()
     if shallower:
         spectrum *= shallower[-1]
@@ -267,7 +274,7 @@ def _fill_lows(
 def pyramid_analysis(x: np.ndarray, cutoffs: list[float], taps: int = DEFAULT_TAPS) -> PyramidSet:
     """Lowbands of every stage from one rfft and one batched irfft, and
     highbands by subtraction from the previous stage's lowband."""
-    x = np.asarray(x, dtype=float)
+    x = _as_real(x)
     n = x.shape[-1]
     cascades = _cascade_spectra(tuple(cutoffs), taps, n)
     lows = np.empty((len(cascades), *x.shape))

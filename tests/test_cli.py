@@ -59,7 +59,8 @@ def test_unknown_signal_is_usage_error(capsys):
 
 
 def test_invalid_parameter_is_config_error(capsys):
-    assert run(["denoise", "--signal", "blocks", "--noise", "0.2", "--taps", "128"]) == 2
+    assert run(["denoise", "--signal", "blocks", "--noise", "0.2", "--levels", "0"]) == 2
+    assert "levels must be an integer >= 1" in capsys.readouterr().err
 
 
 def test_out_collision_is_runtime_error(tmp_path, capsys):
@@ -71,19 +72,19 @@ def test_out_collision_is_runtime_error(tmp_path, capsys):
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# comment line\nseed=9\ngamma=2.0\nmethod=universal\n")
+    cfg.write_text("# comment line\nseed=9\nbank=haar\nmethod=universal\n")
     base = ["denoise", "--signal", "bumps", "--noise", "0.2", "--levels", "3"]
 
     run(base + ["--config", str(cfg)])
     from_config = capsys.readouterr().out
-    run(base + ["--seed", "9", "--gamma", "2.0", "--method", "universal"])
+    run(base + ["--seed", "9", "--bank", "haar", "--method", "universal"])
     from_flags = capsys.readouterr().out
     assert from_config == from_flags
 
     # explicit flag beats the file
-    run(base + ["--config", str(cfg), "--gamma", "0.0"])
+    run(base + ["--config", str(cfg), "--bank", "farras"])
     overridden = capsys.readouterr().out
-    run(base + ["--seed", "9", "--gamma", "0.0", "--method", "universal"])
+    run(base + ["--seed", "9", "--bank", "farras", "--method", "universal"])
     assert overridden == capsys.readouterr().out
     assert overridden != from_config
 
@@ -144,7 +145,7 @@ def test_generate_refuses_seed(capsys):
 
 def test_one_config_file_serves_every_verb(tmp_path, capsys):
     cfg = tmp_path / "all.cfg"
-    cfg.write_text("seed=3\nmethod=universal\ntaps=65\nbank=haar\nnoise=0.2\ntrials=2\n")
+    cfg.write_text("seed=3\nmethod=universal\nbank=haar\nnoise=0.2\ntrials=2\n")
     for verb in ("generate", "spectrum", "denoise", "experiment"):
         argv = [verb, "--signal", "blocks", "--n", "256", "--config", str(cfg)]
         assert run(argv) == 0, verb
@@ -153,23 +154,38 @@ def test_one_config_file_serves_every_verb(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["denoise", "--noise", "0.2", "--smooth-window", "4", "--levels", "2"],
-        ["denoise", "--noise", "0.2", "--alpha", "0.5", "--levels", "3"],
-        ["spectrum", "--alpha", "1"],
-        ["spectrum", "--smooth-window", "4"],
+        ["denoise", "--noise", "0.2", "--smooth-window", "9", "--levels", "2"],
+        ["denoise", "--noise", "0.2", "--alpha", "3", "--levels", "3"],
+        ["spectrum", "--alpha", "3"],
+        ["spectrum", "--smooth-window", "9"],
     ],
     ids=["denoise-window", "denoise-alpha", "spectrum-alpha", "spectrum-window"],
 )
 def test_bad_spectrum_options_are_config_errors(argv, capsys):
+    # The spectrum rule's constants are not options: a verb refuses them
+    # even at the values ALPHA and SMOOTH_WINDOW hold.
     assert run(argv + ["--signal", "blocks", "--n", "256"]) == 2
+
+
+@pytest.mark.parametrize("option", ["gamma", "taps", "alpha", "smooth-window"])
+def test_tuning_options_are_refused(option, tmp_path, capsys):
+    # The thresholds, the FIR length and the spectrum rule have no knobs:
+    # each verb refuses these as flags, and a config file as keys.
+    noisy = ["--signal", "blocks", "--n", "256", "--noise", "0.2"]
+    for argv in (["spectrum", *noisy], ["denoise", *noisy], ["experiment", *noisy, "--trials", "1"]):
+        assert run(argv + [f"--{option}", "3"]) == 2, argv[0]
+        cfg = tmp_path / "knob.cfg"
+        cfg.write_text(f"{option}=3\n")
+        capsys.readouterr()
+        assert run(argv + ["--config", str(cfg)]) == 2, argv[0]
+        assert f"unknown config key '{option}'" in capsys.readouterr().err
 
 
 def test_unset_options_take_the_library_defaults(capsys):
     base = ["denoise", "--signal", "bumps", "--noise", "0.2", "--n", "256"]
     assert run(base) == 0
     implicit = capsys.readouterr().out
-    explicit = ["--bank", "db4", "--gamma", "1", "--taps", "129", "--alpha", "3",
-                "--smooth-window", "9", "--method", "pes-wavelet"]
+    explicit = ["--bank", "db4", "--method", "pes-wavelet"]
     assert run(base + explicit) == 0
     assert capsys.readouterr().out == implicit
 
@@ -231,6 +247,16 @@ def test_experiment_rejects_a_negative_seed(capsys):
     argv = ["experiment", "--signal", "cusp", "--noise", "0.2", "--trials", "1", "--n", "256"]
     assert run(argv + ["--seed", "-1"]) == 2
     assert "base_seed must be a nonnegative integer" in capsys.readouterr().err
+
+
+def test_experiment_with_nothing_it_can_run_is_refused(tmp_path, capsys):
+    # Refused when the spec is built: no header-only report, no lost cells.
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("signal=\n")
+    assert run(["experiment", "--trials", "1", "--n", "64", "--config", str(cfg)]) == 2
+    assert "signals must not be empty" in capsys.readouterr().err
+    assert run(["experiment", "--trials", "1", "--n", "1023"]) == 2
+    assert "needs an even signal length, got n=1023" in capsys.readouterr().err
 
 
 def test_experiment_rejects_repeated_method(capsys):

@@ -16,7 +16,6 @@ from pes_denoise.harness import (
     emit_csv,
     emit_spectrum_csv,
     grand_means,
-    parse_csv,
     run_experiment,
 )
 from pes_denoise.signals import NoiseSpec, add_gaussian_noise, generate_test_signal
@@ -51,6 +50,25 @@ def test_spec_validation():
         ExperimentSpec(base_seed=1.5)
 
 
+@pytest.mark.parametrize("field", ["signals", "noise_fractions", "methods"])
+def test_spec_refuses_an_experiment_with_nothing_to_run(field):
+    # An empty tuple would give a report with no rows and no errors.
+    with pytest.raises(ValueError, match=f"{field} must not be empty"):
+        ExperimentSpec(**{field: ()})
+
+
+def test_spec_refuses_a_length_one_of_its_methods_cannot_run():
+    # An odd n would abort every cell, the pyramid's rows included.
+    with pytest.raises(ValueError, match="pes-wavelet needs an even signal length, got n=1023"):
+        ExperimentSpec(n=1023)
+    pyramid = ExperimentSpec(
+        signals=("bumps",), noise_fractions=(0.2,), trials=2,
+        methods=(DenoiseConfig(method="pes-pyramid"),), n=1023,
+    )
+    report = run_experiment(pyramid)
+    assert report.errors == () and len(report.rows) == 1
+
+
 def test_spec_refuses_an_unknown_signal_before_any_run():
     with pytest.raises(ValueError) as refused:
         ExperimentSpec(signals=("blocks", "nope"), trials=1, n=64)
@@ -78,7 +96,7 @@ def test_rows_are_ordered_and_labeled():
 
 def test_cells_share_one_noise_draw_and_one_depth_plan(monkeypatch):
     # The unit noise is drawn once per experiment and each cell's depths are
-    # selected once per spectrum setting; neither may change a noisy row.
+    # selected once, for every method; neither may change a noisy row.
     spec = ExperimentSpec(
         signals=("heavy-sine", "bumps"),
         noise_fractions=(0.1, 0.3),
@@ -87,7 +105,7 @@ def test_cells_share_one_noise_draw_and_one_depth_plan(monkeypatch):
             DenoiseConfig(method="pes-pyramid"),
             DenoiseConfig(method="universal", levels=3),
             DenoiseConfig(method="three-sigma"),
-            DenoiseConfig(method="pes-wavelet", alpha=4.0),
+            DenoiseConfig(method="pes-wavelet", bank="haar"),
         ),
         base_seed=7,
         n=256,
@@ -99,25 +117,24 @@ def test_cells_share_one_noise_draw_and_one_depth_plan(monkeypatch):
         seen.append((x, cfg, spectrum_levels))
         return denoise(x, cfg, spectrum_levels)
 
-    def recording_select_levels(x, alpha, smooth_window):
-        plans.append((alpha, smooth_window))
-        return select_levels(x, alpha, smooth_window)
+    def recording_select_levels(x):
+        plans.append(select_levels(x))
+        return plans[-1]
 
     monkeypatch.setattr(harness, "denoise", recording_denoise)
     monkeypatch.setattr(harness, "select_levels", recording_select_levels)
     report = run_experiment(spec)
     assert not report.errors
-    assert len(seen) == 4 * 4 and sorted(plans) == sorted([(3.0, 9), (4.0, 9)] * 4)
+    assert len(seen) == 4 * 4 and len(plans) == 4
     cells = [(s, f) for s in spec.signals for f in spec.noise_fractions]
-    for (signal, fraction), calls in zip(cells, np.split(np.arange(len(seen)), 4)):
+    for (signal, fraction), calls, plan in zip(cells, np.split(np.arange(len(seen)), 4), plans):
         clean = generate_test_signal(signal, spec.n)
         for i in calls:
             x, cfg, levels = seen[i]
             for t in range(spec.trials):
                 expected = add_gaussian_noise(clean, NoiseSpec(fraction, spec.base_seed + t))
                 assert np.array_equal(x[t], expected)
-            if cfg.levels is None:
-                assert np.array_equal(levels, select_levels(x, cfg.alpha, cfg.smooth_window))
+            assert levels is plan and np.array_equal(levels, select_levels(x))
 
 
 def test_pyramid_beats_input_snr_by_wide_margin():
@@ -226,20 +243,16 @@ def test_emit_csv_shapes():
 
 def test_csv_roundtrip_to_four_decimals():
     report = run_experiment(SMALL)
-    parsed = parse_csv(emit_csv(report))
-    assert len(parsed.rows) == len(report.rows)
-    for got, want in zip(parsed.rows, report.rows):
-        assert got.signal == want.signal and got.method == want.method
-        assert got.trials == want.trials
-        assert abs(got.fraction - want.fraction) < 5e-5
-        assert abs(got.mean_input_snr_db - want.mean_input_snr_db) < 5e-5
-        assert abs(got.mean_output_snr_db - want.mean_output_snr_db) < 5e-5
-        assert abs(got.stddev_output_snr_db - want.stddev_output_snr_db) < 5e-5
-
-
-def test_parse_csv_rejects_bad_header():
-    with pytest.raises(ValueError):
-        parse_csv("signal,oops\nblocks,1\n")
+    lines = emit_csv(report).splitlines()
+    assert lines[0] == CSV_HEADER and len(lines) == 1 + len(report.rows)
+    for line, want in zip(lines[1:], report.rows):
+        signal, fraction, method, snr_in, snr_out, std, trials = line.split(",")
+        assert signal == want.signal and method == want.method
+        assert int(trials) == want.trials
+        assert abs(float(fraction) - want.fraction) < 5e-5
+        assert abs(float(snr_in) - want.mean_input_snr_db) < 5e-5
+        assert abs(float(snr_out) - want.mean_output_snr_db) < 5e-5
+        assert abs(float(std) - want.stddev_output_snr_db) < 5e-5
 
 
 def test_emit_spectrum_csv_roundtrips_floats():

@@ -15,7 +15,7 @@ from pes_denoise.projections import project_l1_ball
 from pes_denoise.transforms import (
     BANK_NAMES,
     SubbandSet,
-    design_lowpass,
+    _design_lowpass,
     dwt_analysis,
     dwt_synthesis,
     get_filter_bank,
@@ -124,7 +124,7 @@ def test_lowpass_filter_matches_loop():
         x = rng.normal(size=n)
         h = rng.normal(size=taps)  # asymmetric, so the shift direction matters
         assert np.max(np.abs(lowpass_filter(x, h) - circular_fir_loop(x, h))) < 1e-12
-        h = design_lowpass(np.pi / 4, taps)
+        h = _design_lowpass(np.pi / 4, taps)
         assert np.max(np.abs(lowpass_filter(x, h) - circular_fir_loop(x, h))) < 1e-12
         rows = np.stack([x, -2.0 * x[::-1]])
         got = lowpass_filter(rows, h)
@@ -136,7 +136,7 @@ def test_lowpass_filter_matches_loop():
 def test_lowpass_filter_wraps_taps_longer_than_signal(n):
     rng = np.random.default_rng(64 + n)
     x = rng.normal(size=n)
-    for h in (design_lowpass(np.pi / 8, 129), rng.normal(size=129)):
+    for h in (_design_lowpass(np.pi / 8, 129), rng.normal(size=129)):
         y = lowpass_filter(x, h)
         assert y.shape == (n,)
         assert np.max(np.abs(y - circular_fir_loop(x, h))) < 1e-12

@@ -468,6 +468,8 @@ def test_public_projections_refuse_complex_input():
     # np.asarray(..., dtype=float) would drop the imaginary part with only a warning.
     with pytest.raises(ValueError, match="complex"):
         project_l1_ball(np.array([1.0, -2.0, 0.5]) + 1j, 1.0)
+    with pytest.raises(ValueError, match="must be real"):
+        soft_threshold(np.array([1.0, -2.0, 0.5]) + 1j, 0.5)
 
 
 def test_derived_ball_size_does_not_cancel():

@@ -29,7 +29,6 @@ PUBLIC_NAMES = [
     "add_gaussian_noise",
     "default_cutoffs",
     "denoise",
-    "design_lowpass",
     "dwt_analysis",
     "dwt_synthesis",
     "emit_csv",
@@ -40,20 +39,16 @@ PUBLIC_NAMES = [
     "get_filter_bank",
     "grand_means",
     "magnitude_spectrum",
-    "noise_sigma",
-    "parse_csv",
     "project_epigraph_l1",
     "project_l1_ball",
     "pyramid_analysis",
     "pyramid_max_levels",
     "pyramid_synthesis",
-    "qmf_highpass",
     "run_experiment",
     "select_levels",
     "signal_to_csv",
     "snr_db",
     "soft_threshold",
-    "universal_threshold",
 ]
 
 
@@ -64,16 +59,9 @@ def test_all_is_pinned():
 
 def test_spectrum_parameters_are_pinned():
     # perfbench/tracer.py binds select_levels's argument `x` by name.
-    assert list(inspect.signature(pes_denoise.select_levels).parameters) == [
-        "x",
-        "alpha",
-        "smooth_window",
-    ]
-    assert list(inspect.signature(pes_denoise.estimate_bandwidth).parameters) == [
-        "mag",
-        "alpha",
-        "smooth_window",
-    ]
+    # The spectrum rule has no knobs.
+    assert list(inspect.signature(pes_denoise.select_levels).parameters) == ["x"]
+    assert list(inspect.signature(pes_denoise.estimate_bandwidth).parameters) == ["mag"]
 
 
 def test_denoise_parameters_are_pinned():
@@ -105,10 +93,6 @@ def test_config_fields_are_pinned():
         "method",
         "bank",
         "levels",
-        "gamma",
-        "taps",
-        "alpha",
-        "smooth_window",
     ]
 
 

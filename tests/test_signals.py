@@ -7,9 +7,9 @@ import pytest
 
 from pes_denoise.signals import (
     NoiseSpec,
+    _noise_sigma,
     add_gaussian_noise,
     generate_test_signal,
-    noise_sigma,
     signal_to_csv,
     snr_db,
 )
@@ -92,10 +92,10 @@ def test_noise_spec_validation():
 
 def test_noise_sigma_uses_signed_peak():
     v = generate_test_signal("heavy-sine", 512)
-    assert noise_sigma(v, 0.2) == 0.2 * np.max(v)
+    assert _noise_sigma(v, 0.2) == 0.2 * np.max(v)
     # all-negative signal falls back to the absolute peak, sigma stays positive
     w = -generate_test_signal("bumps", 512)
-    assert noise_sigma(w, 0.1) == 0.1 * np.max(np.abs(w))
+    assert _noise_sigma(w, 0.1) == 0.1 * np.max(np.abs(w))
 
 
 def test_add_noise_deterministic_per_seed():
@@ -114,7 +114,7 @@ def test_add_noise_rejects_flat_zero_signal():
 
 def test_noise_matches_requested_sigma():
     v = generate_test_signal("heavy-sine", 1024)
-    target = noise_sigma(v, 0.2)
+    target = _noise_sigma(v, 0.2)
     residuals = np.concatenate(
         [add_gaussian_noise(v, NoiseSpec(amplitude_fraction=0.2, seed=s)) - v for s in range(100)]
     )

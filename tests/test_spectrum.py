@@ -89,17 +89,15 @@ _KINDS = ["noise", "ties", "plateau", "nyquist", "flat", "zero"]
     seed=st.integers(0, 2**32 - 1),
     kinds=st.lists(st.sampled_from(_KINDS), min_size=1, max_size=6),
     m=st.integers(9, 300),
-    alpha=st.floats(1.0, 10.0, exclude_min=True),
-    window=st.sampled_from([1, 3, 9, 15]),
 )
-def test_batch_estimate_equals_row_by_row(seed, kinds, m, alpha, window):
+def test_batch_estimate_equals_row_by_row(seed, kinds, m):
     rng = np.random.default_rng(seed)
     mag = np.stack([_half_spectrum(rng, kind, m) for kind in kinds])
-    batch = estimate_bandwidth(mag, alpha, window)
+    batch = estimate_bandwidth(mag)
     for field in ("omega0", "noise_floor", "levels", "degenerate"):
         assert getattr(batch, field).shape == (len(kinds),)
     for t, row in enumerate(mag):
-        one = estimate_bandwidth(row, alpha, window)
+        one = estimate_bandwidth(row)
         assert type(one.omega0) is float and type(one.noise_floor) is float
         assert type(one.levels) is int and type(one.degenerate) is bool
         assert one.omega0 == batch.omega0[t] and one.noise_floor == batch.noise_floor[t]
@@ -107,12 +105,12 @@ def test_batch_estimate_equals_row_by_row(seed, kinds, m, alpha, window):
 
 
 def test_estimate_bandwidth_synthetic_plateau():
-    # 513 bins, bins 0..29 at 20, rest at 1.  With window 9 the last
-    # smoothed bin seeing a high sample is 33 ((20+8)/9 = 3.11 >= 3), so
-    # the crossing lands at 34.
+    # 513 bins, bins 0..29 at 20, rest at 1.  With the 9-bin window the
+    # last smoothed bin seeing a high sample is 33 ((20+8)/9 = 3.11 >= 3
+    # = ALPHA times the floor), so the crossing lands at 34.
     mag = np.ones(513)
     mag[:30] = 20.0
-    est = estimate_bandwidth(mag, alpha=3.0, smooth_window=9)
+    est = estimate_bandwidth(mag)
     assert abs(est.noise_floor - 1.0) < 1e-12
     assert abs(est.omega0 - math.pi * 34 / 512) < 1e-15
     assert est.levels == 3
@@ -129,12 +127,13 @@ def test_estimate_bandwidth_scale_invariant():
 
 
 def test_estimate_bandwidth_validation():
-    mag, x = np.ones(513), np.ones(64)
-    for options in ({"alpha": 1.0}, {"alpha": np.nan}, {"smooth_window": 8}, {"smooth_window": 9.0}):
-        with pytest.raises(ValueError, match="alpha must exceed 1|positive odd integer"):
-            estimate_bandwidth(mag, **options)
-        with pytest.raises(ValueError, match="alpha must exceed 1|positive odd integer"):
-            select_levels(x, **options)
+    for bad in (np.nan, np.inf):
+        mag, x = np.ones((2, 513)), np.ones(64)
+        mag[1, 7] = x[5] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            estimate_bandwidth(mag)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="NaN or infinite"):
+            select_levels(x)  # the rfft of an infinite sample holds NaN
     with pytest.raises(ValueError, match="half spectrum of shape"):
         estimate_bandwidth(np.ones((2, 3, 513)))
 

@@ -16,8 +16,10 @@ from pes_denoise.projections import soft_threshold
 from pes_denoise.transforms import (
     BANK_NAMES,
     FilterBank,
+    _design_lowpass,
+    _levels_error,
+    _qmf_highpass,
     default_cutoffs,
-    design_lowpass,
     dwt_analysis,
     dwt_synthesis,
     feasible_levels,
@@ -25,7 +27,6 @@ from pes_denoise.transforms import (
     pyramid_analysis,
     pyramid_max_levels,
     pyramid_synthesis,
-    qmf_highpass,
 )
 
 from oracles import lowpass_filter
@@ -47,7 +48,7 @@ def test_banks_are_orthonormal():
         # shifts by 2 are orthogonal
         for shift in range(2, lo.size, 2):
             assert abs(np.dot(lo[:-shift], lo[shift:])) < 1e-12
-        hi = qmf_highpass(lo)
+        hi = _qmf_highpass(lo)
         assert np.array_equal(bank.analysis_hi, hi)
         assert abs(np.dot(lo, hi)) < 1e-12
 
@@ -113,6 +114,24 @@ def test_level_validation():
     with pytest.raises(ValueError):
         dwt_analysis(np.ones(64), bank, 0)
     dwt_analysis(np.ones(16), bank, 3)  # boundary case: stage 3 sees exactly 4 samples
+
+
+def test_feasible_levels_is_the_deepest_depth_dwt_analysis_accepts():
+    for taps in (2, 4, 10):
+        for n in range(1, 300):
+            accepted = [L for L in range(1, 10) if _levels_error(n, L, taps) is None]
+            for levels in range(1, 10):
+                want = max((L for L in accepted if L <= levels), default=0)
+                assert feasible_levels(n, levels, taps) == want, (n, levels, taps)
+
+
+def test_analyses_refuse_complex_input():
+    # A float cast would drop the imaginary part with only a warning.
+    x = np.ones(64) + 1j
+    with pytest.raises(ValueError, match="must be real"):
+        dwt_analysis(x, get_filter_bank("db4"), 2)
+    with pytest.raises(ValueError, match="must be real"):
+        pyramid_analysis(x, default_cutoffs(2))
 
 
 def test_two_sample_haar_roundtrip():
@@ -204,20 +223,20 @@ def test_roundtrip_and_parseval_at_any_feasible_depth(seed, bank, rows, odd, p, 
 
 
 def test_design_lowpass_dc_gain_and_validation():
-    h = design_lowpass(np.pi / 2, 129)
+    h = _design_lowpass(np.pi / 2, 129)
     assert abs(h.sum() - 1.0) < 1e-12
     with pytest.raises(ValueError):
-        design_lowpass(np.pi / 2, 128)
+        _design_lowpass(np.pi / 2, 128)
     with pytest.raises(ValueError):
-        design_lowpass(0.0, 129)
+        _design_lowpass(0.0, 129)
     with pytest.raises(ValueError):
-        design_lowpass(np.pi, 129)
+        _design_lowpass(np.pi, 129)
 
 
 def test_lowpass_passes_dc():
     x = np.full(512, 3.25)
     for taps in (63, 129):
-        x_lp = lowpass_filter(x, design_lowpass(np.pi / 2, taps))
+        x_lp = lowpass_filter(x, _design_lowpass(np.pi / 2, taps))
         assert np.linalg.norm(x - x_lp) / np.linalg.norm(x) < 1e-3
 
 
@@ -226,7 +245,7 @@ def test_lowpass_stopband_attenuation():
     # check the filtered tone is no larger than that response allows
     taps = 129
     n = 1024
-    h = design_lowpass(np.pi / 2, taps)
+    h = _design_lowpass(np.pi / 2, taps)
     omega = 2.0 * np.pi * 461 / n  # on the DFT grid, deep in the stopband (~0.9*pi)
     k = np.arange(taps) - (taps - 1) // 2
     response = abs(np.sum(h * np.exp(-1j * omega * k)))
@@ -303,7 +322,7 @@ def test_one_fft_pyramid_equals_stage_cascade(n):
                 assert pyramid.lows.shape == pyramid.highs.shape == (levels, *x.shape)
                 current = x
                 for cutoff, (x_lp, x_hp) in zip(cutoffs, pyramid.stages):
-                    want = lowpass_filter(current, design_lowpass(cutoff, taps))
+                    want = lowpass_filter(current, _design_lowpass(cutoff, taps))
                     assert np.max(np.abs(x_lp - want)) < 1e-12
                     assert np.max(np.abs(x_hp - (current - want))) < 1e-12
                     current = want
