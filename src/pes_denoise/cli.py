@@ -21,7 +21,6 @@ from .harness import (
     DEFAULT_FRACTIONS,
     DEFAULT_METHODS,
     DEFAULT_SIGNALS,
-    ExperimentReport,
     ExperimentSpec,
     emit_csv,
     emit_spectrum_csv,

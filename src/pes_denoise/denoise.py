@@ -87,25 +87,21 @@ def _wavelet(rows: np.ndarray, levels: int, cfg: DenoiseConfig, shrink) -> np.nd
 def _pyramid(rows: np.ndarray, levels: int, cfg: DenoiseConfig, shrink) -> np.ndarray:
     """Pyramid analysis of the (T, n) rows, shrink on every stage's highband,
     synthesis: the arithmetic of pyramid_analysis and pyramid_synthesis,
-    in blocks of rows inside one band stack from the thread's workspace.
-    Each stage's lowband is overwritten by its highband, and shrink gets
-    every highband of a block as one row of an (L*rows, n) array."""
+    inside one band stack from the thread's workspace.  Each stage's
+    lowband is overwritten by its highband, and shrink gets every highband
+    as one row of an (L*T, n) array."""
     n = rows.shape[-1]
     cascades = _cascade_spectra(tuple(default_cutoffs(levels)), DEFAULT_TAPS, n)
-    out = np.empty_like(rows)
-    block = max(1, BLOCK_ELEMENTS // (levels * n))  # L*block*n values fill about one block
-    for r0 in range(0, rows.shape[0], block):
-        x, y = rows[r0:r0 + block], out[r0:r0 + block]
-        bands = scratch("bands", (levels, *x.shape))
-        _fill_lows(x, cascades, scratch("product", (*bands.shape[:-1], n // 2 + 1), complex), bands)
-        y[...] = bands[-1]  # the deepest lowband passes through
-        # Deepest first, so that no lowband is read after it is overwritten.
-        for k in range(levels - 1, 0, -1):
-            np.subtract(bands[k - 1], bands[k], out=bands[k])
-        np.subtract(x, bands[0], out=bands[0])
-        highs = shrink(bands.reshape(-1, n), (n,), n).reshape(bands.shape)
-        for high in highs[::-1]:  # coarsest first, as pyramid_synthesis sums
-            y += high
+    bands = scratch("bands", (levels, *rows.shape))
+    _fill_lows(rows, cascades, scratch("product", (*bands.shape[:-1], n // 2 + 1), complex), bands)
+    out = bands[-1].copy()  # the deepest lowband passes through
+    # Deepest first, so that no lowband is read after it is overwritten.
+    for k in range(levels - 1, 0, -1):
+        np.subtract(bands[k - 1], bands[k], out=bands[k])
+    np.subtract(rows, bands[0], out=bands[0])
+    highs = shrink(bands.reshape(-1, n), (n,), n).reshape(bands.shape)
+    for high in highs[::-1]:  # coarsest first, as pyramid_synthesis sums
+        out += high
     return out
 
 
@@ -190,12 +186,17 @@ def denoise(x: np.ndarray, cfg: DenoiseConfig, spectrum_levels=None) -> np.ndarr
             spectrum_levels = select_levels(rows)
         depths = clamp_depth(spectrum_levels, cfg, x.shape[-1])
     decompose, shrink = _METHODS[cfg.method]
+    # Rows of depth L run in blocks of BLOCK_ELEMENTS // (L*n) rows, which
+    # their L pyramid bands fill, so that no method's temporaries grow with
+    # the rows of a call (see _workspace).
     groups = sorted(set(depths.tolist()))
-    if len(groups) == 1:
-        # One depth for every row: no copies in and out of the groups.
+    blocks = [max(1, BLOCK_ELEMENTS // (L * x.shape[-1])) for L in groups]
+    if len(groups) == 1 and rows.shape[0] <= blocks[0]:
+        # One depth and one block: no copies in and out of the blocks.
         return decompose(rows, groups[0], cfg, shrink).reshape(x.shape)
     out = np.empty_like(rows)
-    for levels in groups:
-        picked = depths == levels
-        out[picked] = decompose(rows[picked], levels, cfg, shrink)
+    for levels, block in zip(groups, blocks):
+        picked = np.flatnonzero(depths == levels)
+        for index in np.split(picked, range(block, picked.shape[0], block)):
+            out[index] = decompose(rows[index], levels, cfg, shrink)
     return out.reshape(x.shape)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._workspace import BLOCK_ELEMENTS, scratch
+from ._workspace import scratch
 from .transforms import _as_real
 
 _SIGN_TIE_TOL = 1e-12
@@ -171,64 +171,48 @@ def _project(
 
     Each band's l1 mass and smallest magnitude come from reductions in
     index order, and its nonzero count and smallest nonzero magnitude from
-    two more only where some band of the block has a zero entry.  Only the
-    bands that need the sorted rule sort anything, and only their
-    candidates (see _sorted_rule).  The block buffers come from the
-    thread's workspace.
+    two more only where some band has a zero entry.  Only the bands that
+    need the sorted rule sort anything, and only their candidates (see
+    _sorted_rule).  The work buffers, of w's shape, come from the thread's
+    workspace; denoise hands the kernel one block of rows at a time.
     """
     layout = _layout(lengths)
     sizes, starts, _, band = layout
-    rows, n = w.shape
-    shape = (rows, sizes.shape[0])
-    result = BandProjection(
-        w_p=np.empty_like(w) if out is None else out,
-        d=np.empty(shape),
-        threshold=np.empty(shape),
-        fast_path=np.empty(shape, dtype=bool),
-        rho=np.empty(shape, dtype=np.intp),
-    )
-    block = min(rows, max(1, BLOCK_ELEMENTS // n))
-    for r0 in range(0, rows, block):
-        wb = w[r0:r0 + block]
-        mag = np.abs(wb, out=scratch("mag", wb.shape))
-        tmp = scratch("tmp", wb.shape)
-        flag = scratch("flag", wb.shape, bool)
-        l1 = np.add.reduceat(mag, starts, axis=-1)
-        if ball is None:
-            smallest = np.minimum.reduceat(mag, starts, axis=-1)
-            nnz = sizes
-            if not smallest.all():
-                np.not_equal(mag, 0.0, out=flag)
-                nnz = np.add.reduceat(flag, starts, axis=-1, dtype=np.intp)
-                # The bits of nonnegative doubles order as the doubles do,
-                # and 0 - 1 wraps to the largest integer, so the minimum of
-                # bits - 1 skips the zeros; an all-zero band gets 0 back,
-                # and has t = 0.
-                bits = tmp.view(np.uint64)
-                np.subtract(mag.view(np.uint64), 1, out=bits)
-                smallest = (np.minimum.reduceat(bits, starts, axis=-1) + 1).view(float)
-            # t = l1/(nnz+1), nnz+1 being the squared norm of the normal
-            # (sign(w), -1), and d = l1 - nnz*t, which is t; taken as t so
-            # that it does not cancel.
-            t = d = l1 / (nnz + 1)
-            # w_p = sign(w) * (|w| - t) on the boundary hyperplane, so a
-            # nonzero entry's sign flips where t exceeds its magnitude.
-            fast = t - smallest <= _SIGN_TIE_TOL
-        else:
-            d = ball[r0:r0 + block]
-            t = np.zeros_like(d)
-            fast = np.zeros(d.shape, dtype=bool)
-        threshold, rho = t, np.zeros(d.shape, dtype=np.intp)
-        if not fast.all():
-            theta, kept = _sorted_rule(mag, l1, d, fast, layout, flag, tmp)
-            threshold = np.where(fast, t, theta)
-            rho = np.where(fast, 0, kept)
-        _soft(mag, _per_entry(threshold, band, tmp), wb, result.w_p[r0:r0 + block])
-        result.d[r0:r0 + block] = d
-        result.threshold[r0:r0 + block] = threshold
-        result.fast_path[r0:r0 + block] = fast
-        result.rho[r0:r0 + block] = rho
-    return result
+    mag = np.abs(w, out=scratch("mag", w.shape))
+    tmp = scratch("tmp", w.shape)
+    flag = scratch("flag", w.shape, bool)
+    l1 = np.add.reduceat(mag, starts, axis=-1)
+    if ball is None:
+        smallest = np.minimum.reduceat(mag, starts, axis=-1)
+        nnz = sizes
+        if not smallest.all():
+            np.not_equal(mag, 0.0, out=flag)
+            nnz = np.add.reduceat(flag, starts, axis=-1, dtype=np.intp)
+            # The bits of nonnegative doubles order as the doubles do,
+            # and 0 - 1 wraps to the largest integer, so the minimum of
+            # bits - 1 skips the zeros; an all-zero band gets 0 back,
+            # and has t = 0.
+            bits = tmp.view(np.uint64)
+            np.subtract(mag.view(np.uint64), 1, out=bits)
+            smallest = (np.minimum.reduceat(bits, starts, axis=-1) + 1).view(float)
+        # t = l1/(nnz+1), nnz+1 being the squared norm of the normal
+        # (sign(w), -1), and d = l1 - nnz*t, which is t; taken as t so
+        # that it does not cancel.
+        t = d = l1 / (nnz + 1)
+        # w_p = sign(w) * (|w| - t) on the boundary hyperplane, so a
+        # nonzero entry's sign flips where t exceeds its magnitude.
+        fast = t - smallest <= _SIGN_TIE_TOL
+    else:
+        d = ball
+        t = np.zeros_like(d)
+        fast = np.zeros(d.shape, dtype=bool)
+    threshold, rho = t, np.zeros(d.shape, dtype=np.intp)
+    if not fast.all():
+        theta, kept = _sorted_rule(mag, l1, d, fast, layout, flag, tmp)
+        threshold = np.where(fast, t, theta)
+        rho = np.where(fast, 0, kept)
+    w_p = _soft(mag, _per_entry(threshold, band, tmp), w, np.empty_like(w) if out is None else out)
+    return BandProjection(w_p=w_p, d=d, threshold=threshold, fast_path=fast, rho=rho)
 
 
 def _as_band(w: np.ndarray) -> np.ndarray:

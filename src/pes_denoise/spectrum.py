@@ -43,21 +43,26 @@ def _is_integer(value) -> bool:
 
 def magnitude_spectrum(x: np.ndarray) -> np.ndarray:
     """|DFT| at bins 0..N/2 along the last axis (real-input half spectrum);
-    bin k <-> 2*pi*k/N."""
+    bin k <-> 2*pi*k/N.  NaN and infinite samples are refused."""
     x = _as_real(x)
     if x.shape[-1] < 16:
         raise ValueError(f"need at least 16 samples along the last axis, got {x.shape[-1]}")
+    if not np.isfinite(x).all():
+        raise ValueError("input contains NaN or infinite samples")
     return np.abs(np.fft.rfft(x, axis=-1))
 
 
 def row_median(a: np.ndarray) -> np.ndarray:
-    """np.median(a, axis=-1), bit for bit: the mean of the two middle
-    order statistics of each row (one and the same for an odd length),
-    found by one partition instead of the full median machinery."""
+    """np.median(a, axis=-1), bit for bit where a holds no -0.0: the middle
+    order statistic of each row for an odd length, else the mean of the two
+    middle ones.  One partition puts the upper middle in place, and the
+    lower middle is the largest entry below it."""
     k = a.shape[-1]
-    lo, hi = (k - 1) // 2, k // 2
-    part = np.partition(a, sorted({lo, hi}), axis=-1)
-    return (part[..., lo] + part[..., hi]) / 2
+    part = np.partition(a, k // 2, axis=-1)
+    upper = part.take(k // 2, axis=-1)
+    if k % 2:
+        return upper
+    return (part[..., : k // 2].max(axis=-1) + upper) / 2
 
 
 def _smooth(mag: np.ndarray) -> np.ndarray:

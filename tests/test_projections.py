@@ -343,8 +343,8 @@ def _band(rng: np.random.Generator, kind: str, k: int) -> np.ndarray:
 
 
 _KINDS = ("normal", "ties", "zeros", "no-flip", "all-zero")
-# A band of a seventh or a third of a block's elements makes blocks of 6 or
-# 2 rows, so larger row counts cross block boundaries.
+# Long bands: a seventh or a third of the elements of a row block that
+# denoise hands the kernel, so that 6 or 2 such rows fill one.
 _SEVENTH, _THIRD = BLOCK_ELEMENTS // 7, BLOCK_ELEMENTS // 3
 
 

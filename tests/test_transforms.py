@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from pes_denoise.projections import soft_threshold
 from pes_denoise.transforms import (
     BANK_NAMES,
-    FilterBank,
     _design_lowpass,
     _levels_error,
     _qmf_highpass,

@@ -82,14 +82,17 @@ def test_threads_match_serial_calls_bit_for_bit():
     assert got.keys() == serial.keys()
 
 
-@pytest.mark.parametrize("levels", [None, 6])
-def test_pyramid_batch_across_row_blocks_equals_single_calls(levels):
-    # 300 rows at depth 6 span 30 blocks of 10 rows.
+@pytest.mark.parametrize("levels", [None, 3, 6])
+@pytest.mark.parametrize("method", METHODS)
+def test_batch_across_row_blocks_equals_single_calls(method, levels):
+    # denoise runs rows of depth L in blocks of 64 // L rows at n = 1024:
+    # 300 rows span 15 blocks at depth 3 and 30 at depth 6, and at the
+    # spectrum's depths they split into groups of depth 2 and 3.
     x = _batch(6, 300)
-    cfg = DenoiseConfig(method="pes-pyramid", levels=levels)
+    cfg = DenoiseConfig(method=method, levels=levels)
     batch = denoise(x, cfg)
     assert all(np.array_equal(batch[t], denoise(x[t], cfg)) for t in range(x.shape[0]))
-    if levels is not None:
+    if method == "pes-pyramid" and levels is not None:
         pyramid = pyramid_analysis(x, default_cutoffs(levels))
         one = pyramid_analysis(x[7], default_cutoffs(levels))
         assert np.array_equal(pyramid.lows[:, 7], one.lows)
