@@ -13,7 +13,8 @@ signal is the case T = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .spectrum import MAX_LEVELS, _is_integer, row_median, select_levels
 from .transforms import (
     DEFAULT_BANK,
     DEFAULT_TAPS,
+    SubbandSet,
     _as_real,
     _cascade_spectra,
     _fill_lows,
@@ -80,8 +82,8 @@ def _wavelet(rows: np.ndarray, levels: int, cfg: DenoiseConfig, shrink) -> np.nd
     bands = dwt_analysis(rows, bank, levels)
     lengths = tuple(band.shape[-1] for band in bands.details)
     shrunk = shrink(np.concatenate(bands.details, axis=-1), lengths, rows.shape[-1])
-    details = np.split(shrunk, np.cumsum(lengths)[:-1], axis=-1)
-    return dwt_synthesis(replace(bands, details=details), bank)
+    details = [shrunk[:, end - length : end] for length, end in zip(lengths, accumulate(lengths))]
+    return dwt_synthesis(SubbandSet(bands.lowband, details), bank)
 
 
 def _pyramid(rows: np.ndarray, levels: int, cfg: DenoiseConfig, shrink) -> np.ndarray:
@@ -186,11 +188,11 @@ def denoise(x: np.ndarray, cfg: DenoiseConfig, spectrum_levels=None) -> np.ndarr
             spectrum_levels = select_levels(rows)
         depths = clamp_depth(spectrum_levels, cfg, x.shape[-1])
     decompose, shrink = _METHODS[cfg.method]
-    # Rows of depth L run in blocks of BLOCK_ELEMENTS // (L*n) rows, which
-    # their L pyramid bands fill, so that no method's temporaries grow with
-    # the rows of a call (see _workspace).
+    # Rows of depth L run in blocks of BLOCK_ELEMENTS band values, so that no method's temporaries
+    # grow with a call's rows (see _workspace): a DWT row's bands hold n, the pyramid's L*n.
     groups = sorted(set(depths.tolist()))
-    blocks = [max(1, BLOCK_ELEMENTS // (L * x.shape[-1])) for L in groups]
+    per_row = [x.shape[-1] * (1 if decompose is _wavelet else L) for L in groups]
+    blocks = [max(1, BLOCK_ELEMENTS // size) for size in per_row]
     if len(groups) == 1 and rows.shape[0] <= blocks[0]:
         # One depth and one block: no copies in and out of the blocks.
         return decompose(rows, groups[0], cfg, shrink).reshape(x.shape)

@@ -1,10 +1,11 @@
 """Convex-geometry core: soft thresholding, l1-ball projection, and the
-two-step projection onto the epigraph of the l1 norm.
+projection onto the epigraph of the l1 norm.
 
 The epigraph projection is what turns a noisy subband into a denoised
-one without any noise-variance estimate: lifting the band w to (w, 0),
-projecting onto the boundary hyperplane of the epigraph, and reading off
-the implied ball size d gives a data-derived soft threshold.
+one without any noise-variance estimate: the epigraph step derives d,
+the ball size implied by projecting the lifted band (w, 0) onto the
+boundary hyperplane of the epigraph, and the ball projection at d
+applies it, as a data-derived soft threshold.
 
 Every projection runs through one segmented kernel, :func:`_project`:
 the last axis of a (T, N) array concatenates bands of given lengths, and
@@ -24,7 +25,6 @@ import numpy as np
 from ._workspace import scratch
 from .transforms import _as_real
 
-_SIGN_TIE_TOL = 1e-12
 # Rounding margin of the candidate floor, per entry of a band and per unit
 # of its l1 mass: an upper bound on the error of the sorted rule's test
 # (see _sorted_rule).
@@ -77,9 +77,9 @@ class BandProjection:
 
     w_p: np.ndarray
     d: np.ndarray  # the derived ball size
-    threshold: np.ndarray  # soft threshold applied: t on the fast path, theta otherwise
-    fast_path: np.ndarray  # True where no sign flipped
-    rho: np.ndarray  # entries the sorted rule keeps; 0 where it did not run
+    threshold: np.ndarray  # soft threshold applied: the sorted rule's theta at d
+    fast_path: np.ndarray  # True where no nonzero entry was zeroed (rho >= nnz)
+    rho: np.ndarray  # entries the sorted rule keeps
 
 
 @functools.lru_cache(maxsize=64)
@@ -109,15 +109,13 @@ def _sorted_rule(
     mag: np.ndarray,
     l1: np.ndarray,
     d: np.ndarray,
-    skip: np.ndarray,
     layout: tuple[np.ndarray, ...],
     flag: np.ndarray,
     spread: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(theta, rho) of the sorted rule at ball sizes d, for every (row, band)
-    of a block of magnitudes; (T, B) arrays whose entries where skip is set
-    are to be discarded.  flag and spread are boolean and float work
-    buffers of mag's shape.
+    of a block of magnitudes, as (T, B) arrays.  flag and spread are
+    boolean and float work buffers of mag's shape.
 
     The sorted rule of Duchi et al. 2008 ("Efficient projections onto the
     l1-ball"): with the descending magnitudes mu_1 >= ... of a band,
@@ -137,7 +135,6 @@ def _sorted_rule(
     """
     _, starts, margin, band = layout
     floor = np.maximum.reduceat(mag, starts, axis=-1) - (d + margin * l1)
-    floor[skip] = np.inf
     np.greater_equal(mag, _per_entry(floor, band, spread), out=flag)
     counts = np.add.reduceat(flag, starts, axis=-1, dtype=np.intp).reshape(-1, 1)
     # One row per (row, band): its candidates, then -inf, which no test
@@ -152,7 +149,7 @@ def _sorted_rule(
     q = (np.add.accumulate(mu, axis=-1) - d.reshape(-1, 1)) / ranks  # (sum_{r<=j} mu_r - d)/j
     kept = np.maximum(((mu > q) * ranks).max(axis=-1), 1)  # the last j that passes
     theta = q[np.arange(kept.shape[0]), kept - 1]
-    return theta.reshape(skip.shape), kept.reshape(skip.shape)
+    return theta.reshape(l1.shape), kept.reshape(l1.shape)
 
 
 def _project(
@@ -163,18 +160,18 @@ def _project(
 ) -> BandProjection:
     """The segmented kernel behind every projection in this module.
 
-    With ball=None each (row, band) gets its epigraph projection; with a
-    (T, B) array of positive ball sizes, its projection onto that l1 ball.
-    The projected bands are written into out, a fresh array by default;
-    out may be w itself.  w is not checked: non-finite entries give
-    meaningless numbers for their own (row, band) only.
+    With a (T, B) array of positive ball sizes, each (row, band) gets its
+    projection onto that l1 ball; with ball=None, its epigraph projection,
+    which is the ball projection at the derived size d.  The projected
+    bands are written into out, a fresh array by default; out may be w
+    itself.  w is not checked: non-finite entries give meaningless numbers
+    for their own (row, band) only.
 
     Each band's l1 mass and smallest magnitude come from reductions in
-    index order, and its nonzero count and smallest nonzero magnitude from
-    two more only where some band has a zero entry.  Only the bands that
-    need the sorted rule sort anything, and only their candidates (see
-    _sorted_rule).  The work buffers, of w's shape, come from the thread's
-    workspace; denoise hands the kernel one block of rows at a time.
+    index order, and its nonzero count from one more only where some band
+    has a zero entry.  The sorted rule sorts only each band's candidates
+    (see _sorted_rule).  The work buffers, of w's shape, come from the
+    thread's workspace; denoise hands the kernel one block of rows at a time.
     """
     layout = _layout(lengths)
     sizes, starts, _, band = layout
@@ -182,37 +179,17 @@ def _project(
     tmp = scratch("tmp", w.shape)
     flag = scratch("flag", w.shape, bool)
     l1 = np.add.reduceat(mag, starts, axis=-1)
-    if ball is None:
-        smallest = np.minimum.reduceat(mag, starts, axis=-1)
-        nnz = sizes
-        if not smallest.all():
-            np.not_equal(mag, 0.0, out=flag)
-            nnz = np.add.reduceat(flag, starts, axis=-1, dtype=np.intp)
-            # The bits of nonnegative doubles order as the doubles do,
-            # and 0 - 1 wraps to the largest integer, so the minimum of
-            # bits - 1 skips the zeros; an all-zero band gets 0 back,
-            # and has t = 0.
-            bits = tmp.view(np.uint64)
-            np.subtract(mag.view(np.uint64), 1, out=bits)
-            smallest = (np.minimum.reduceat(bits, starts, axis=-1) + 1).view(float)
-        # t = l1/(nnz+1), nnz+1 being the squared norm of the normal
-        # (sign(w), -1), and d = l1 - nnz*t, which is t; taken as t so
-        # that it does not cancel.
-        t = d = l1 / (nnz + 1)
-        # w_p = sign(w) * (|w| - t) on the boundary hyperplane, so a
-        # nonzero entry's sign flips where t exceeds its magnitude.
-        fast = t - smallest <= _SIGN_TIE_TOL
-    else:
-        d = ball
-        t = np.zeros_like(d)
-        fast = np.zeros(d.shape, dtype=bool)
-    threshold, rho = t, np.zeros(d.shape, dtype=np.intp)
-    if not fast.all():
-        theta, kept = _sorted_rule(mag, l1, d, fast, layout, flag, tmp)
-        threshold = np.where(fast, t, theta)
-        rho = np.where(fast, 0, kept)
-    w_p = _soft(mag, _per_entry(threshold, band, tmp), w, np.empty_like(w) if out is None else out)
-    return BandProjection(w_p=w_p, d=d, threshold=threshold, fast_path=fast, rho=rho)
+    nnz = sizes
+    if not np.minimum.reduceat(mag, starts, axis=-1).all():
+        np.not_equal(mag, 0.0, out=flag)
+        nnz = np.add.reduceat(flag, starts, axis=-1, dtype=np.intp)
+    # The epigraph step: (w, 0) reaches the boundary hyperplane after a step
+    # of t = l1/(nnz+1) along the normal (sign(w), -1), of squared norm nnz+1,
+    # and the implied ball size l1 - nnz*t is t, taken so that it does not cancel.
+    d = l1 / (nnz + 1) if ball is None else ball
+    theta, rho = _sorted_rule(mag, l1, d, layout, flag, tmp)
+    w_p = _soft(mag, _per_entry(theta, band, tmp), w, np.empty_like(w) if out is None else out)
+    return BandProjection(w_p=w_p, d=d, threshold=theta, fast_path=rho >= nnz, rho=rho)
 
 
 def _as_band(w: np.ndarray) -> np.ndarray:
@@ -249,12 +226,13 @@ def project_l1_ball(w: np.ndarray, d: float) -> BallProjection:
 def project_epigraph_l1(w: np.ndarray) -> EpigraphProjection:
     """Project the lifted point (w, 0) onto the epigraph of the l1 norm.
 
-    Step 1 projects onto the boundary hyperplane sum(sign(w)*u) - z = 0:
-    the displacement is t along the normal (sign(w), -1), with
-    t = sum(sign(w)*w) / M and M = nnz+1 the squared normal norm, since
-    sign(0) = 0.  Step 2 keeps that point when no component's sign
-    flipped; otherwise it falls back to the l1-ball projection at the
-    derived size d.
+    The epigraph step projects onto the boundary hyperplane
+    sum(sign(w)*u) - z = 0: the displacement is t along the normal
+    (sign(w), -1), with t = sum(sign(w)*w) / M and M = nnz+1 the squared
+    normal norm, since sign(0) = 0, and the implied ball size is d = t.
+    The l1-ball projection at d then gives w_p.  Where it zeroes no
+    nonzero entry (fast_path), that is the hyperplane point, and z_p is
+    its threshold; elsewhere z_p is the l1 mass of w_p.
     """
     w = _as_band(w)
     if not np.any(w):

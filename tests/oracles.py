@@ -30,32 +30,27 @@ def full_sort_rule(
     """One band's projection by the full-sort rule: (w_p, d, threshold, rho,
     fast_path), as the segmented kernel reports them.
 
-    With d=None, the epigraph projection: t = d = l1/(nnz+1) with l1 the
-    band's correctly rounded l1 mass and nnz its nonzero count, and the
-    fast path wherever t exceeds no nonzero magnitude by more than 1e-12.
-    With a ball size d, the projection onto that l1 ball, which never
-    takes the fast path.  Elsewhere the sorted rule of Duchi et al. (2008)
-    runs on the whole band, sorted: rho is the last j with
-    mu_j - (sum_{r<=j} mu_r - d)/j > 0 (1 where none passes) and the
-    threshold is (sum_{r<=rho} mu_r - d)/rho.
+    With d=None, the epigraph projection: the ball size is
+    d = l1/(nnz+1), with l1 the band's correctly rounded l1 mass and nnz
+    its nonzero count; with a ball size d, the projection onto that l1
+    ball.  Either way the sorted rule of Duchi et al. (2008) runs on the
+    whole band, sorted: rho is the last j with
+    mu_j - (sum_{r<=j} mu_r - d)/j > 0 (1 where none passes), the
+    threshold is (sum_{r<=rho} mu_r - d)/rho, and fast_path is
+    rho >= nnz, no nonzero entry zeroed.
     """
     mag = np.abs(np.asarray(band, dtype=float))
     mu = np.sort(mag)[::-1]
     cs = np.cumsum(mu)
-    fast_path, t = False, 0.0
+    nnz = int(np.count_nonzero(mag))
     if d is None:
-        nnz = int(np.count_nonzero(mag))
-        l1 = math.fsum(mag)
-        t = d = l1 / (nnz + 1)
-        fast_path = nnz == 0 or t - mu[nnz - 1] <= 1e-12
-    rho, threshold = 0, t
-    if not fast_path:
-        ranks = np.arange(1, mag.shape[0] + 1)
-        passing = np.flatnonzero(mu - (cs - d) / ranks > 0)
-        rho = int(passing[-1]) + 1 if passing.size else 1
-        threshold = (cs[rho - 1] - d) / rho
+        d = math.fsum(mag) / (nnz + 1)
+    ranks = np.arange(1, mag.shape[0] + 1)
+    passing = np.flatnonzero(mu - (cs - d) / ranks > 0)
+    rho = int(passing[-1]) + 1 if passing.size else 1
+    threshold = (cs[rho - 1] - d) / rho
     w_p = np.sign(band) * np.maximum(mag - threshold, 0.0)
-    return w_p, float(d), float(threshold), rho, bool(fast_path)
+    return w_p, float(d), float(threshold), rho, rho >= nnz
 
 
 def cone_projection(band: np.ndarray) -> tuple[np.ndarray, float, int]:

@@ -442,6 +442,24 @@ def test_ball_projection_matches_the_full_sort_oracle(seed, k, kind, frac, below
     assert got.rho == rho
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 60),
+    kind=st.sampled_from(["normal", "ties", "zeros", "no-flip", "tied"]),
+)
+@example(seed=0, k=8, kind="no-flip")
+def test_epigraph_is_the_ball_projection_at_its_derived_size(seed, k, kind):
+    # One rule: the epigraph step only derives d, and the l1-ball
+    # projection at d gives the output, whether or not any entry is zeroed.
+    band = _band(np.random.default_rng(seed), kind, k)
+    assume(band.any())
+    got = project_epigraph_l1(band)
+    ball = project_l1_ball(band, got.d)
+    assert np.array_equal(got.w_p.view(np.uint64), ball.w_p.view(np.uint64))
+    assert got.fast_path == bool(got.w_p[band != 0].all())
+
+
 def test_non_finite_rows_do_not_stop_the_block():
     # The kernel does not check its input (denoise already has).  A row
     # with an infinite or NaN entry gets a meaningless projection, alone in
@@ -496,9 +514,10 @@ def test_derived_ball_size_does_not_cancel():
 )
 @example(seed=0, k=1, spread=0.0, zeros=0.0, scale=1.0)
 def test_fast_path_is_the_exact_cone_projection(seed, k, spread, zeros, scale):
-    # Where no sign flips, the two-step projection is the exact Euclidean
-    # projection of (w, 0) onto the cone {(u, z) : ||u||_1 <= z}, zeros
-    # and all; spread/k near 1/k separates the fast bands from the others.
+    # Where no nonzero entry is zeroed, the epigraph projection is the
+    # exact Euclidean projection of (w, 0) onto the cone
+    # {(u, z) : ||u||_1 <= z}, zeros and all; spread/k near 1/k separates
+    # the fast bands from the others.
     rng = np.random.default_rng(seed)
     band = rng.choice([-scale, scale], k) * (1.0 + (spread / k) * rng.uniform(0.0, 1.0, k))
     band[rng.uniform(size=k) < zeros] = 0.0
