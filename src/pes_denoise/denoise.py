@@ -113,13 +113,10 @@ def _epigraph_shrink(bands: np.ndarray, lengths: tuple[int, ...], n: int) -> np.
 
 
 def _universal_shrink(bands: np.ndarray, lengths: tuple[int, ...], n: int) -> np.ndarray:
-    """One universal threshold, sigma * sqrt(2 ln N) in signal units (Donoho &
-    Johnstone 1994), across all bands; sigma-hat comes from the finest."""
-    # Band coefficients carry the analysis 1/sqrt(N) scale; the MAD there
-    # estimates sigma/sqrt(N), so scale back up to signal units before the
-    # threshold's own 1/sqrt(N) brings it down again.
-    sigma = estimate_sigma(bands[:, : lengths[0]]) * np.sqrt(n)
-    return soft_threshold(bands, (sigma * np.sqrt(2.0 * np.log(n) / n))[:, None])
+    """One universal threshold, sigma-hat * sqrt(2 ln n) (Donoho & Johnstone
+    1994), across all bands; sigma-hat comes from the finest, in band units."""
+    sigma = estimate_sigma(bands[:, : lengths[0]])
+    return soft_threshold(bands, (sigma * np.sqrt(2.0 * np.log(n)))[:, None])
 
 
 def _three_sigma_shrink(bands: np.ndarray, lengths: tuple[int, ...], n: int) -> np.ndarray:

@@ -9,10 +9,12 @@ applies it, as a data-derived soft threshold.
 
 Every projection runs through one segmented kernel, :func:`_project`:
 the last axis of a (T, N) array concatenates bands of given lengths, and
-each (row, band) pair is projected on its own, all in one call.  The
-public 1-D functions are the case of one row and one band, and refuse
-NaN and infinite entries; denoise, which has checked its own input,
-calls the kernel directly.
+each (row, band) pair is projected on its own, all in one call.  An
+all-zero band takes the same rule as any other: it has no candidate to
+sort, and its threshold is 0, so it is its own projection.  The public
+1-D functions are the case of one row and one band, and refuse NaN and
+infinite entries; denoise, which has checked its own input, calls the
+kernel directly.
 """
 
 from __future__ import annotations
@@ -128,19 +130,20 @@ def _sorted_rule(
     "Fast projection onto the simplex and the l1 ball").  The floor is
     lowered by margin * l1, more than the rounding error of the test, so
     that no j the rule passes in floating point is left out.  The
-    candidates are every entry at or above the floor, ties included, so
+    candidates are every entry strictly above the floor, ties included, so
     they are the top of the band's sorted order, and their cumulative sums
     are bit for bit those of the whole sorted band: theta and rho are
-    exactly the full-sort rule's for the same d.
+    exactly the full-sort rule's for the same d.  An all-zero band has no
+    candidate, and gets the full-sort rule's theta = 0 and rho = 1.
     """
     _, starts, margin, band = layout
     floor = np.maximum.reduceat(mag, starts, axis=-1) - (d + margin * l1)
-    np.greater_equal(mag, _per_entry(floor, band, spread), out=flag)
+    np.greater(mag, _per_entry(floor, band, spread), out=flag)
     counts = np.add.reduceat(flag, starts, axis=-1, dtype=np.intp).reshape(-1, 1)
     # One row per (row, band): its candidates, then -inf, which no test
-    # passes at.  A NaN floor (from non-finite input) admits no candidate;
-    # one column at least lets the block finish, with a threshold as
-    # meaningless as such input makes every other one.
+    # passes at.  A band with no candidate gets one column: q = -inf there,
+    # and theta 0 once floored, or NaN from a NaN floor (non-finite input),
+    # a threshold as meaningless as such input makes every other one.
     ranks = np.arange(1, max(counts.max(), 1) + 1)
     mu = np.full((counts.shape[0], ranks.shape[0]), -np.inf)
     mu[ranks <= counts] = mag[flag]  # both row-major, so each band's candidates fill its row
@@ -148,7 +151,7 @@ def _sorted_rule(
     mu = mu[:, ::-1]  # mu_1 >= mu_2 >= ... >= mu_c, then the padding
     q = (np.add.accumulate(mu, axis=-1) - d.reshape(-1, 1)) / ranks  # (sum_{r<=j} mu_r - d)/j
     kept = np.maximum(((mu > q) * ranks).max(axis=-1), 1)  # the last j that passes
-    theta = q[np.arange(kept.shape[0]), kept - 1]
+    theta = np.maximum(q[np.arange(kept.shape[0]), kept - 1], 0.0)
     return theta.reshape(l1.shape), kept.reshape(l1.shape)
 
 
@@ -232,11 +235,10 @@ def project_epigraph_l1(w: np.ndarray) -> EpigraphProjection:
     normal norm, since sign(0) = 0, and the implied ball size is d = t.
     The l1-ball projection at d then gives w_p.  Where it zeroes no
     nonzero entry (fast_path), that is the hyperplane point, and z_p is
-    its threshold; elsewhere z_p is the l1 mass of w_p.
+    its threshold; elsewhere z_p is the l1 mass of w_p.  An all-zero band
+    is its own projection, with z_p = d = 0 on the fast path.
     """
     w = _as_band(w)
-    if not np.any(w):
-        raise ValueError("epigraph projection undefined for an all-zero band")
     result = _project(w[None, :], (w.shape[0],), None)
     w_p = result.w_p[0]
     fast_path = bool(result.fast_path[0, 0])

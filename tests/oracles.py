@@ -57,12 +57,13 @@ def cone_projection(band: np.ndarray) -> tuple[np.ndarray, float, int]:
     """The exact Euclidean projection of (band, 0) onto the l1 norm cone
     {(u, z) : ||u||_1 <= z}: (u, z, the number of entries kept).
 
-    With the descending magnitudes mu_1 >= ... of a nonzero band, the
-    projection is (soft(band, z), z) with z = sum_{j<=rho} mu_j / (rho+1)
-    and rho the last j with mu_j > sum_{r<=j} mu_r / (j+1).
+    With the descending magnitudes mu_1 >= ... of a band, the projection
+    is (soft(band, z), z) with z = sum_{j<=rho} mu_j / (rho+1) and rho the
+    last j with mu_j > sum_{r<=j} mu_r / (j+1), or 0 where none passes:
+    an all-zero band keeps no entry and is its own projection.
     """
     mag = np.abs(np.asarray(band, dtype=float))
     mu = np.sort(mag)[::-1]
-    z = [math.fsum(mu[:j]) / (j + 1) for j in range(1, mu.shape[0] + 1)]
-    rho = max(j for j in range(1, mu.shape[0] + 1) if j == 1 or mu[j - 1] > z[j - 1])
-    return np.sign(band) * np.maximum(mag - z[rho - 1], 0.0), z[rho - 1], rho
+    z = [math.fsum(mu[:j]) / (j + 1) for j in range(mu.shape[0] + 1)]
+    rho = max(j for j in range(mu.shape[0] + 1) if j == 0 or mu[j - 1] > z[j])
+    return np.sign(band) * np.maximum(mag - z[rho], 0.0), z[rho], rho

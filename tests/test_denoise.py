@@ -38,14 +38,13 @@ def test_estimate_sigma_calibrated_on_gaussian():
 
 
 def test_universal_threshold_value():
-    # One soft threshold on every band: sigma-hat * sqrt(2 ln N) in signal
-    # units, so sigma-hat * sqrt(2 ln N / N) on the 1/sqrt(N)-scaled bands,
-    # with sigma-hat from the finest band.
+    # One soft threshold on every band of the orthonormal DWT:
+    # sigma-hat * sqrt(2 ln n), with sigma-hat from the finest band.
     n = 1024
     y = add_gaussian_noise(generate_test_signal("doppler", n), NoiseSpec(0.2, seed=2))
     bank = get_filter_bank("db4")
     bands = dwt_analysis(y, bank, 3)
-    theta = estimate_sigma(bands.details[0]) * np.sqrt(n) * np.sqrt(2.0 * np.log(n) / n)
+    theta = estimate_sigma(bands.details[0]) * np.sqrt(2.0 * np.log(n))
     shrunk = replace(bands, details=[soft_threshold(d, theta) for d in bands.details])
     out = denoise(y, DenoiseConfig(method="universal", levels=3))
     assert np.array_equal(out, dwt_synthesis(shrunk, bank))

@@ -1,0 +1,159 @@
+"""Invariants of denoise, pinned bit for bit for every method, bank and depth.
+
+Negation and power-of-two scaling commute with every step of every
+method: the transforms are linear, the depth does not move, each
+threshold scales with the input, and scaling by 2^k rounds nothing.  The
+memory layout of the input, and the order of a batch's rows, change
+nothing either.
+"""
+
+import numpy as np
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from pes_denoise._workspace import _local
+from pes_denoise.denoise import METHODS, DenoiseConfig, denoise
+from pes_denoise.signals import SIGNAL_NAMES, NoiseSpec, add_gaussian_noise, generate_test_signal
+from pes_denoise.transforms import BANK_NAMES
+
+# Each row is a noisy test signal, all zeros or a constant.
+_ROW_KINDS = (*SIGNAL_NAMES, "zeros", "constant")
+
+
+def _rows(kinds: list[str], n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    rows = []
+    for kind in kinds:
+        if kind == "zeros":
+            rows.append(np.zeros(n))
+        elif kind == "constant":
+            rows.append(np.full(n, rng.uniform(-4.0, 4.0)))
+        else:
+            fraction = float(rng.choice([0.05, 0.1, 0.3, 0.6]))
+            noise = NoiseSpec(fraction, seed=int(rng.integers(1 << 30)))
+            rows.append(add_gaussian_noise(generate_test_signal(kind, n), noise))
+    return np.stack(rows)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    bits = [np.ascontiguousarray(array).view(np.uint64) for array in (a, b)]
+    return a.shape == b.shape and np.array_equal(*bits)
+
+
+_cases = dict(
+    method=st.sampled_from(METHODS),
+    bank=st.sampled_from(BANK_NAMES),
+    levels=st.sampled_from([None, 1, 2, 3]),
+    n=st.sampled_from([128, 256, 1000]),
+    kinds=st.lists(st.sampled_from(_ROW_KINDS), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+_settings = settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+def _zero_and_constant_rows(**more):
+    """One example per method of a batch with a zero row and a constant row."""
+
+    def add(test):
+        for method in METHODS:
+            case = dict(method=method, bank="db4", levels=None, n=256, seed=1, **more)
+            test = example(kinds=["zeros", "bumps", "constant"], **case)(test)
+        return test
+
+    return add
+
+
+def _input(kinds, n, seed):
+    x = _rows(kinds, n, seed)
+    return x[0] if len(kinds) == 1 else x
+
+
+@_settings
+@given(**_cases)
+@_zero_and_constant_rows()
+def test_negated_input_gives_the_negated_output(method, bank, levels, n, kinds, seed):
+    x = _input(kinds, n, seed)
+    cfg = DenoiseConfig(method=method, bank=bank, levels=levels)
+    # Bit for bit but for the sign of zero: a zero row gives +0.0 either
+    # way, where negating its output gives -0.0.  Adding 0.0 maps -0.0 to
+    # +0.0 and leaves every other value as it is.
+    assert _same_bits(denoise(-x, cfg) + 0.0, -denoise(x, cfg) + 0.0)
+
+
+@_settings
+@given(**_cases, k=st.integers(-8, 8))
+@_zero_and_constant_rows(k=-8)
+def test_power_of_two_scaling_scales_the_output(method, bank, levels, n, kinds, seed, k):
+    x = _input(kinds, n, seed)
+    cfg = DenoiseConfig(method=method, bank=bank, levels=levels)
+    assert _same_bits(denoise(2.0**k * x, cfg), 2.0**k * denoise(x, cfg))
+
+
+def _layouts(x: np.ndarray) -> list[np.ndarray]:
+    """x's values in other memory layouts: read-only, Fortran-order,
+    strided with a step, and strided backwards."""
+    read_only = x.copy()
+    read_only.flags.writeable = False
+    wide = np.zeros((*x.shape[:-1], 3 * x.shape[-1]))
+    wide[..., ::3] = x
+    backwards = x[..., ::-1].copy()[..., ::-1]
+    return [read_only, np.asfortranarray(x), wide[..., ::3], backwards]
+
+
+@_settings
+@given(**_cases)
+@_zero_and_constant_rows()
+def test_memory_layout_does_not_change_the_output(method, bank, levels, n, kinds, seed):
+    x = _input(kinds, n, seed)
+    cfg = DenoiseConfig(method=method, bank=bank, levels=levels)
+    want = denoise(x, cfg)
+    for other in _layouts(x):
+        assert _same_bits(denoise(other, cfg), want)
+    # One row alone, as (n,) or as (1, n), is that row of the batch.
+    rows = np.atleast_2d(x)
+    single = denoise(rows[-1], cfg)
+    assert _same_bits(denoise(rows[-1:], cfg), single[None, :])
+    if x.ndim == 1:
+        assert _same_bits(single, want)
+
+
+@_settings
+@given(**_cases)
+@_zero_and_constant_rows()
+def test_input_is_never_written_and_output_is_its_own(method, bank, levels, n, kinds, seed):
+    x = _input(kinds, n, seed)
+    cfg = DenoiseConfig(method=method, bank=bank, levels=levels)
+    for given_x in (x, *_layouts(x)):
+        before = given_x.copy()
+        out = denoise(given_x, cfg)
+        assert _same_bits(given_x, before)
+        assert not np.shares_memory(out, given_x)
+        workspace = vars(_local).get("buffers", {}).values()
+        assert not any(np.shares_memory(out, buffer) for buffer in workspace)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    method=st.sampled_from(METHODS),
+    bank=st.sampled_from(BANK_NAMES),
+    levels=st.sampled_from([None, 2]),
+    n=st.sampled_from([256, 4096]),
+    kinds=st.lists(st.sampled_from(_ROW_KINDS), min_size=2, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+# At n = 4096 a DWT row block holds 16 rows, and a pyramid block 2 to 5:
+# 18 rows at one depth span two DWT blocks, and the 12 pyramid rows fall
+# in five depth groups, with the four rows of depth 6 in two blocks.
+@example(
+    method="three-sigma", bank="db4", levels=2, n=4096, seed=2,
+    kinds=["blocks", "bumps", "zeros", "heavy-sine", "constant", "doppler"] * 3,
+)
+@example(
+    method="pes-pyramid", bank="haar", levels=None, n=4096, seed=3,
+    kinds=["bumps", "blocks", "zeros", "cusp", "constant", "heavy-sine"] * 2,
+)
+def test_permuting_rows_permutes_the_output(method, bank, levels, n, kinds, seed):
+    x = _rows(kinds, n, seed)
+    cfg = DenoiseConfig(method=method, bank=bank, levels=levels)
+    order = np.random.default_rng(seed).permutation(x.shape[0])
+    assert _same_bits(denoise(x[order], cfg), denoise(x, cfg)[order])
