@@ -1,7 +1,9 @@
 """Command-line interface.
 
-Verbs: generate, denoise, spectrum, experiment.  Options may also come
-from a key=value config file (--config); explicit flags win.  Exit
+Verbs: generate, denoise, spectrum, experiment.  Each option is declared
+once, in _OPTIONS, and each verb names the options it reads, in _VERBS.
+Options may also come from a key=value config file (--config); explicit
+flags win.  An option left unset takes the library's default.  Exit
 codes: 0 success, 2 invalid configuration, 1 runtime failure.
 """
 
@@ -12,20 +14,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from .denoise import METHODS, DenoiseConfig, clamp_depth, denoise
-from .harness import (
-    DEFAULT_FRACTIONS,
-    DEFAULT_METHODS,
-    DEFAULT_SIGNALS,
-    ExperimentSpec,
-    emit_csv,
-    emit_spectrum_csv,
-    run_experiment,
-)
+from .harness import DEFAULT_METHODS, ExperimentSpec, emit_csv, emit_spectrum_csv, run_experiment
 from .signals import (
     SIGNAL_NAMES,
     NoiseSpec,
@@ -38,17 +32,20 @@ from .spectrum import estimate_bandwidth, magnitude_spectrum
 from .transforms import DEFAULT_BANK
 
 
-# dest -> (caster, splits on commas)
-_CONFIG_KEYS = {
-    "signal": (str, True),
-    "noise": (float, True),
-    "method": (str, True),
-    "trials": (int, False),
-    "seed": (int, False),
-    "levels": (int, False),
-    "bank": (str, False),
-    "n": (int, False),
-    "out": (str, False),
+# dest -> the add_argument keywords of its flag --dest.  A config file's
+# keys are these dests but config: a key's value takes the flag's type,
+# split on commas where the flag repeats.
+_OPTIONS = {
+    "config": dict(help="key=value file; explicit flags win"),
+    "out": dict(help="output directory (default: CSV to stdout)"),
+    "n": dict(type=int, help=f"signal length (default {ExperimentSpec.n})"),
+    "signal": dict(action="append", choices=SIGNAL_NAMES, help="signal name"),
+    "noise": dict(action="append", type=float, help="noise fraction of peak"),
+    "seed": dict(type=int, help=f"RNG seed (default {NoiseSpec.seed})"),
+    "method": dict(action="append", choices=METHODS, help="denoising method"),
+    "levels": dict(type=int, help="decomposition depth (default: from spectrum)"),
+    "bank": dict(help=f"wavelet filter bank (default {DenoiseConfig.bank})"),
+    "trials": dict(type=int, help=f"trials per cell (default {ExperimentSpec.trials})"),
 }
 
 
@@ -63,11 +60,12 @@ def _load_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
             key, _, value = line.partition("=")
             dest = key.strip().lower().replace("-", "_")
-            if dest not in _CONFIG_KEYS:
+            if dest not in _OPTIONS or dest == "config":
                 raise ValueError(f"{path}:{lineno}: unknown config key {key.strip()!r}")
-            caster, is_list = _CONFIG_KEYS[dest]
+            option = _OPTIONS[dest]
+            caster = option.get("type", str)
             try:
-                if is_list:
+                if option.get("action") == "append":
                     values[dest] = [caster(part.strip()) for part in value.split(",") if part.strip()]
                 else:
                     values[dest] = caster(value.strip())
@@ -77,17 +75,18 @@ def _load_config_file(path: str) -> dict:
 
 
 def _merge(ns: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset flags from the config file, then the CLI's own defaults.
+    """Fill unset flags from the config file.
 
-    Library options left unset stay None, so the library's defaults apply.
+    Options still unset stay None, so the library's defaults apply, but
+    for the length: generate_test_signal has no default, so every verb
+    takes the experiment's.
     """
     file_values = _load_config_file(ns.config) if ns.config else {}
     for dest, value in file_values.items():
         if getattr(ns, dest, None) is None:
             setattr(ns, dest, value)
-    for dest, value in (("seed", 0), ("n", 1024), ("trials", 300)):
-        if getattr(ns, dest, None) is None:
-            setattr(ns, dest, value)
+    if ns.n is None:
+        ns.n = ExperimentSpec.n
     return ns
 
 
@@ -96,18 +95,14 @@ def _given(ns: argparse.Namespace, *dests: str) -> dict:
     return {dest: getattr(ns, dest) for dest in dests if getattr(ns, dest, None) is not None}
 
 
-def _require(ns: argparse.Namespace, *dests: str) -> None:
-    for dest in dests:
-        if getattr(ns, dest, None) is None:
-            raise ValueError(f"missing required option --{dest.replace('_', '-')}")
-
-
-def _single(value, dest: str):
-    if isinstance(value, list):
-        if len(value) != 1:
-            raise ValueError(f"--{dest} takes a single value here, got {value}")
-        return value[0]
-    return value
+def _single(ns: argparse.Namespace, dest: str):
+    """The one value of the repeatable option dest, which this verb needs."""
+    values = getattr(ns, dest)
+    if values is None:
+        raise ValueError(f"missing required option --{dest}")
+    if len(values) != 1:
+        raise ValueError(f"--{dest} takes a single value here, got {values}")
+    return values[0]
 
 
 def _write_or_print(out_dir: str | None, filename: str, content: str) -> None:
@@ -119,26 +114,22 @@ def _write_or_print(out_dir: str | None, filename: str, content: str) -> None:
         fh.write(content)
 
 
-def _denoise_config(ns: argparse.Namespace, method: str) -> DenoiseConfig:
-    return DenoiseConfig(method=method, **_given(ns, "bank", "levels"))
-
-
 def _cmd_generate(ns: argparse.Namespace) -> int:
-    _require(ns, "signal")
-    name = _single(ns.signal, "signal")
+    name = _single(ns, "signal")
     clean = generate_test_signal(name, ns.n)
     _write_or_print(ns.out, f"{name}.csv", signal_to_csv(clean))
     return 0
 
 
 def _cmd_denoise(ns: argparse.Namespace) -> int:
-    _require(ns, "signal", "noise")
-    name = _single(ns.signal, "signal")
-    fraction = _single(ns.noise, "noise")
-    method = _single(ns.method, "method") if ns.method is not None else "pes-wavelet"
+    name = _single(ns, "signal")
+    fraction = _single(ns, "noise")
+    tuning = _given(ns, "bank", "levels")
+    if ns.method is not None:
+        tuning["method"] = _single(ns, "method")
     clean = generate_test_signal(name, ns.n)
-    noisy = add_gaussian_noise(clean, NoiseSpec(fraction, ns.seed))
-    denoised = denoise(noisy, _denoise_config(ns, method))
+    noisy = add_gaussian_noise(clean, NoiseSpec(fraction, **_given(ns, "seed")))
+    denoised = denoise(noisy, DenoiseConfig(**tuning))
     if ns.out is None:
         sys.stdout.write(signal_to_csv(denoised))
     else:
@@ -153,11 +144,10 @@ def _cmd_denoise(ns: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(ns: argparse.Namespace) -> int:
-    _require(ns, "signal")
-    name = _single(ns.signal, "signal")
+    name = _single(ns, "signal")
     x = generate_test_signal(name, ns.n)
     if ns.noise is not None:
-        x = add_gaussian_noise(x, NoiseSpec(_single(ns.noise, "noise"), ns.seed))
+        x = add_gaussian_noise(x, NoiseSpec(_single(ns, "noise"), **_given(ns, "seed")))
     mag = magnitude_spectrum(x)
     estimate = estimate_bandwidth(mag)
     omegas = np.arange(mag.shape[0]) * (2 * math.pi / ns.n)
@@ -171,18 +161,22 @@ def _cmd_spectrum(ns: argparse.Namespace) -> int:
     return 0
 
 
+# option -> the ExperimentSpec field it sets, when given
+_SPEC_FIELDS = {
+    "signal": "signals",
+    "noise": "noise_fractions",
+    "trials": "trials",
+    "seed": "base_seed",
+    "n": "n",
+}
+
+
 def _cmd_experiment(ns: argparse.Namespace) -> int:
-    signals = tuple(ns.signal) if ns.signal is not None else DEFAULT_SIGNALS
-    fractions = tuple(ns.noise) if ns.noise is not None else DEFAULT_FRACTIONS
-    method_names = ns.method if ns.method is not None else [cfg.method for cfg in DEFAULT_METHODS]
-    methods = tuple(_denoise_config(ns, m) for m in method_names)
+    configs = DEFAULT_METHODS if ns.method is None else map(DenoiseConfig, ns.method)
+    given = _given(ns, *_SPEC_FIELDS).items()
     spec = ExperimentSpec(
-        signals=signals,
-        noise_fractions=fractions,
-        trials=ns.trials,
-        methods=methods,
-        base_seed=ns.seed,
-        n=ns.n,
+        methods=tuple(replace(cfg, **_given(ns, "bank", "levels")) for cfg in configs),
+        **{_SPEC_FIELDS[dest]: tuple(v) if isinstance(v, list) else v for dest, v in given},
     )
     report = run_experiment(spec)
     _write_or_print(ns.out, "report.csv", emit_csv(report))
@@ -197,11 +191,26 @@ def _cmd_experiment(ns: argparse.Namespace) -> int:
     return 0 if not report.errors else 1
 
 
-_COMMANDS = {
-    "generate": _cmd_generate,
-    "denoise": _cmd_denoise,
-    "spectrum": _cmd_spectrum,
-    "experiment": _cmd_experiment,
+# verb -> (its help, its command, the options it reads in --help order).
+# Each verb takes only the flags it reads; the config-file keys are the
+# same for every verb, so one file can serve them all.
+_VERBS = {
+    "generate": ("emit a clean test signal as CSV", _cmd_generate, "config out n signal"),
+    "denoise": (
+        "denoise one noisy instance",
+        _cmd_denoise,
+        "config out n signal noise seed method levels bank",
+    ),
+    "spectrum": (
+        "emit the magnitude spectrum and level choice",
+        _cmd_spectrum,
+        "config out n signal noise seed",
+    ),
+    "experiment": (
+        "run the Monte-Carlo SNR table",
+        _cmd_experiment,
+        "config out n signal noise seed method levels bank trials",
+    ),
 }
 
 
@@ -211,41 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="1-D denoising with thresholds derived from epigraph projections",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # Each verb takes only the flags it reads.  Config-file keys are the
-    # same for every verb, so one file can serve them all.
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="key=value file; explicit flags win")
-        p.add_argument("--out", help="output directory (default: CSV to stdout)")
-        p.add_argument("--n", type=int, help="signal length (default 1024)")
-        p.add_argument("--signal", action="append", choices=SIGNAL_NAMES, help="signal name")
-
-    def add_noise_opts(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--noise", action="append", type=float, help="noise fraction of peak")
-        p.add_argument("--seed", type=int, help="RNG seed (default 0)")
-
-    def add_method_opts(p: argparse.ArgumentParser) -> None:
-        add_noise_opts(p)
-        p.add_argument("--method", action="append", choices=METHODS, help="denoising method")
-        p.add_argument("--levels", type=int, help="decomposition depth (default: from spectrum)")
-        p.add_argument("--bank", help="wavelet filter bank (default db4)")
-
-    p_gen = sub.add_parser("generate", help="emit a clean test signal as CSV")
-    add_common(p_gen)
-
-    p_den = sub.add_parser("denoise", help="denoise one noisy instance")
-    add_common(p_den)
-    add_method_opts(p_den)
-
-    p_spec = sub.add_parser("spectrum", help="emit the magnitude spectrum and level choice")
-    add_common(p_spec)
-    add_noise_opts(p_spec)
-
-    p_exp = sub.add_parser("experiment", help="run the Monte-Carlo SNR table")
-    add_common(p_exp)
-    add_method_opts(p_exp)
-    p_exp.add_argument("--trials", type=int, help="trials per cell (default 300)")
-
+    for verb, (help_text, _, dests) in _VERBS.items():
+        verb_parser = sub.add_parser(verb, help=help_text)
+        for dest in dests.split():
+            verb_parser.add_argument(f"--{dest}", **_OPTIONS[dest])
     return parser
 
 
@@ -257,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         ns = _merge(ns)
-        return _COMMANDS[ns.command](ns)
+        return _VERBS[ns.command][1](ns)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

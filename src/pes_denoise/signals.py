@@ -18,6 +18,7 @@ _BREAKPOINTS = [0.1, 0.13, 0.15, 0.23, 0.25, 0.4, 0.44, 0.65, 0.76, 0.78, 0.81]
 _BLOCK_STEPS = [4, -5, 3, -4, 5, -4.2, 2.1, 4.3, -3.1, 2.1, -4.2]
 _BUMP_HEIGHTS = [4, 5, 3, 4, 5, 4.2, 2.1, 4.3, 3.1, 2.1, 4.2]
 _BUMP_WIDTHS = [0.005, 0.005, 0.006, 0.01, 0.01, 0.03, 0.01, 0.01, 0.005, 0.008, 0.005]
+_SMOOTH_BUMP_MIN_WIDTH = 0.015  # _smooth_bumps' width floor
 
 
 def _blocks(n: int) -> np.ndarray:
@@ -51,14 +52,14 @@ def _cusp(n: int) -> np.ndarray:
     return np.sqrt(np.abs(t - 0.37))
 
 
-def _smooth_bumps(n: int, wmin: float = 0.015) -> np.ndarray:
+def _smooth_bumps(n: int) -> np.ndarray:
     # Same bump layout as _bumps but with a smooth rational kernel and a
     # width floor, so the spectral tail decays fast enough to expose a
     # crisp bandwidth edge.
     t = np.arange(n) / n
     v = np.zeros(n)
     for p, h, w in zip(_BREAKPOINTS, _BUMP_HEIGHTS, _BUMP_WIDTHS):
-        v += h / (1 + ((t - p) / max(w, wmin)) ** 2) ** 2
+        v += h / (1 + ((t - p) / max(w, _SMOOTH_BUMP_MIN_WIDTH)) ** 2) ** 2
     return v
 
 

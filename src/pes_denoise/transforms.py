@@ -175,14 +175,14 @@ def dwt_analysis(x: np.ndarray, bank: FilterBank, levels: int) -> SubbandSet:
 
 def dwt_synthesis(bands: SubbandSet, bank: FilterBank) -> np.ndarray:
     """Inverse of dwt_analysis: every bank is orthonormal, so each step's
-    adjoint on the analysis taps inverts it."""
+    adjoint on the analysis taps inverts it.  Each detail band must have
+    the shape of the band it is joined with."""
     lo, hi = bank.analysis_lo, bank.analysis_hi
     current = np.asarray(bands.lowband)
     for detail in reversed(bands.details):
-        if detail.shape[-1] != current.shape[-1]:
+        if detail.shape != current.shape:
             raise ValueError(
-                f"inconsistent band lengths: lowband {current.shape[-1]} "
-                f"vs detail {detail.shape[-1]}"
+                f"inconsistent band shapes: lowband {current.shape} vs detail {detail.shape}"
             )
         current = _idwt_step(current, detail, lo, hi)
     return current * np.sqrt(current.shape[-1])
@@ -291,14 +291,16 @@ def pyramid_synthesis(
     """Deepest lowband plus the high bands, summed coarsest first.
 
     denoised_highs holds one high band per stage, finest first, as a list
-    or an (L, ..., n) array.  With the original highs this walks the
-    defining subtractions back up stage by stage and recovers the input
-    exactly.
+    or an (L, ..., n) array, and each band has the lowbands' shape.  With
+    the original highs this walks the defining subtractions back up stage
+    by stage and recovers the input exactly.
     """
     stages = len(pyramid.lows)
     if len(denoised_highs) != stages:
         raise ValueError(f"need one high band per stage: got {len(denoised_highs)} for {stages} stages")
     y = pyramid.lows[-1].copy()
     for high in reversed(denoised_highs):
+        if np.shape(high) != y.shape:
+            raise ValueError(f"high band shape {np.shape(high)} is not the lowbands' {y.shape}")
         y += high
     return y

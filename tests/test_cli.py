@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from pes_denoise.cli import _CONFIG_KEYS, build_parser, main
+from pes_denoise.cli import _OPTIONS, _VERBS, build_parser, main
 from pes_denoise.harness import DEFAULT_METHODS
 
 
@@ -289,20 +289,28 @@ def test_strict_mode_is_refused(verb, tmp_path, capsys):
     assert "unknown config key 'strict-paper'" in capsys.readouterr().err
 
 
-def test_config_keys_and_flags_are_one_schema():
-    # Every config key is some verb's flag with the same caster, the keys
-    # that split on commas are the repeatable flags, and every flag but
-    # --config is a key: a key outliving its flag, or the reverse, fails.
+def test_config_keys_and_flags_are_one_schema(tmp_path, capsys):
+    # Every verb's flags are the options its _VERBS entry names, in that
+    # order, each built from its one _OPTIONS entry: a flag has one type,
+    # repeatability, choices and help in every verb that takes it.  The
+    # config file reads its keys from the same table, all but config.
     parser = build_parser()
     verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    flags: dict = {}
-    for verb in verbs.choices.values():
-        for action in verb._actions:
-            if action.dest in ("help", "config"):
-                continue
-            schema = (action.type or str, isinstance(action, argparse._AppendAction))
-            assert flags.setdefault(action.dest, schema) == schema, action.dest
-    assert flags == _CONFIG_KEYS
+    assert list(verbs.choices) == list(_VERBS)
+    for name, verb in verbs.choices.items():
+        actions = [action for action in verb._actions if action.dest != "help"]
+        assert [action.dest for action in actions] == _VERBS[name][2].split(), name
+        for action in actions:
+            option = _OPTIONS[action.dest]
+            repeats = isinstance(action, argparse._AppendAction)
+            assert repeats == (option.get("action") == "append"), (name, action.dest)
+            assert action.type == option.get("type"), (name, action.dest)
+            assert action.choices == option.get("choices"), (name, action.dest)
+            assert action.help == option["help"], (name, action.dest)
+    cfg = tmp_path / "nested.cfg"
+    cfg.write_text(f"config={cfg}\n")
+    assert run(["generate", "--signal", "blocks", "--n", "64", "--config", str(cfg)]) == 2
+    assert "unknown config key 'config'" in capsys.readouterr().err
 
 
 def test_module_entry_point(tmp_path):

@@ -118,20 +118,6 @@ def test_pes_methods_heavy_sine_quality():
         assert np.mean(snrs) >= 20.0
 
 
-def test_shift_consistency():
-    y = add_gaussian_noise(generate_test_signal("heavy-sine", 512), NoiseSpec(0.2, seed=4))
-    levels = 3
-    shift = 2**levels
-    rolled = np.roll(y, shift)
-    out_w = denoise(y, DenoiseConfig(method="pes-wavelet", levels=levels))
-    out_w_rolled = denoise(rolled, DenoiseConfig(method="pes-wavelet", levels=levels))
-    rel = np.linalg.norm(np.roll(out_w, shift) - out_w_rolled) / np.linalg.norm(out_w)
-    assert rel < 1e-9
-    out_p = denoise(y, DenoiseConfig(method="pes-pyramid", levels=levels))
-    out_p_rolled = denoise(rolled, DenoiseConfig(method="pes-pyramid", levels=levels))
-    assert np.max(np.abs(np.roll(out_p, shift) - out_p_rolled)) < 1e-12
-
-
 def test_pes_paths_never_touch_sigma_estimation(monkeypatch):
     y = add_gaussian_noise(generate_test_signal("doppler", 512), NoiseSpec(0.2, seed=5))
     want_w = denoise(y, DenoiseConfig(method="pes-wavelet", levels=3))

@@ -1,4 +1,4 @@
-"""Every name a package module imports is used again in that module.
+"""Every name a package or test module imports is used again in that module.
 
 A name counts as used when the module reads it, or when the module lists
 it in ``__all__`` (the package's ``__init__`` re-exports that way).
@@ -12,7 +12,10 @@ import pytest
 
 import pes_denoise
 
-MODULES = sorted(Path(pes_denoise.__file__).parent.glob("*.py"))
+PACKAGE = sorted(Path(pes_denoise.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
+MODULES = PACKAGE + TESTS
+IDS = [path.name for path in PACKAGE] + [f"tests/{path.name}" for path in TESTS]
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -37,7 +40,7 @@ def _used(tree: ast.Module) -> set[str]:
     return used
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+@pytest.mark.parametrize("path", MODULES, ids=IDS)
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unused = {name: line for name, line in _imported(tree).items() if name not in _used(tree)}

@@ -1,10 +1,15 @@
-"""Invariants of denoise, pinned bit for bit for every method, bank and depth.
+"""Invariants of denoise, pinned for every method, bank and depth.
 
 Negation and power-of-two scaling commute with every step of every
 method: the transforms are linear, the depth does not move, each
 threshold scales with the input, and scaling by 2^k rounds nothing.  The
 memory layout of the input, and the order of a batch's rows, change
-nothing either.
+nothing either.  These hold bit for bit.
+
+At an explicit depth two more hold up to rounding: scaling by any
+factor, and a circular shift, by any amount for the pyramid and by a
+multiple of 2^L for an L-level periodic DWT, which commutes with such a
+shift band by band.
 """
 
 import numpy as np
@@ -157,3 +162,38 @@ def test_permuting_rows_permutes_the_output(method, bank, levels, n, kinds, seed
     cfg = DenoiseConfig(method=method, bank=bank, levels=levels)
     order = np.random.default_rng(seed).permutation(x.shape[0])
     assert _same_bits(denoise(x[order], cfg), denoise(x, cfg)[order])
+
+
+# The invariants that hold up to rounding fix the depth: the spectrum's
+# choice is not pinned to rounding.
+_explicit_depth_cases = {**_cases, "levels": st.sampled_from([1, 2, 3])}
+
+
+def _close(got: np.ndarray, want: np.ndarray, tol: float) -> bool:
+    """got equals want to tol relative to max|want|."""
+    return np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
+@_settings
+@given(**_explicit_depth_cases, k=st.integers(1, 1 << 10))
+# One noisy heavy-sine of 512 samples at depth 3, shifted by 8.
+@example(method="pes-wavelet", bank="db4", levels=3, n=512, kinds=["heavy-sine"], seed=4, k=1)
+@example(method="pes-pyramid", bank="db4", levels=3, n=512, kinds=["heavy-sine"], seed=4, k=8)
+def test_circular_shift_shifts_the_output(method, bank, levels, n, kinds, seed, k):
+    x = _input(kinds, n, seed)
+    cfg = DenoiseConfig(method=method, bank=bank, levels=levels)
+    shift = k if method == "pes-pyramid" else k << levels
+    want = np.roll(denoise(x, cfg), shift, axis=-1)
+    assert _close(denoise(np.roll(x, shift, axis=-1), cfg), want, 1e-12)
+
+
+@_settings
+@given(**_explicit_depth_cases, c=st.sampled_from([3.0, 0.1, 1e-3, 7.7e4]))
+@example(
+    method="pes-pyramid", bank="db4", levels=2, n=256, seed=1, c=7.7e4,
+    kinds=["zeros", "bumps", "constant"],
+)
+def test_scaling_scales_the_output(method, bank, levels, n, kinds, seed, c):
+    x = _input(kinds, n, seed)
+    cfg = DenoiseConfig(method=method, bank=bank, levels=levels)
+    assert _close(denoise(c * x, cfg), c * denoise(x, cfg), 1e-13)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from pes_denoise.projections import soft_threshold
 from pes_denoise.transforms import (
     BANK_NAMES,
+    SubbandSet,
     _design_lowpass,
     _levels_error,
     _qmf_highpass,
@@ -170,6 +171,14 @@ def test_synthesis_rejects_inconsistent_lengths():
     broken = replace(bands, details=[bands.details[0][:4], bands.details[1]])
     with pytest.raises(ValueError):
         dwt_synthesis(broken, bank)
+    # One detail row, or a 1-D detail, on a three-row lowband would be
+    # broadcast over every row; a 1-D lowband would grow a row axis.
+    bands = dwt_analysis(np.random.default_rng(5).normal(size=(3, 64)), bank, 2)
+    for details in ([d[:1] for d in bands.details], [d[0] for d in bands.details]):
+        with pytest.raises(ValueError, match="inconsistent band shapes"):
+            dwt_synthesis(SubbandSet(bands.lowband, details), bank)
+    with pytest.raises(ValueError, match="inconsistent band shapes"):
+        dwt_synthesis(SubbandSet(bands.lowband[0], [d[:1] for d in bands.details]), bank)
 
 
 @pytest.mark.parametrize("bank", ALL_BANKS, ids=BANK_NAMES)
@@ -306,6 +315,13 @@ def test_pyramid_validation():
         pyramid_analysis(x, [np.pi / 4, np.pi / 2], taps=33)  # not decreasing
     with pytest.raises(ValueError):
         pyramid_synthesis(pyramid_analysis(x, default_cutoffs(2), taps=33), [np.zeros(64)])
+    # One high row, as (1, n) or (n,), on a three-row pyramid would be
+    # added to every row.
+    pyramid = pyramid_analysis(np.random.default_rng(6).normal(size=(3, 64)), default_cutoffs(2), taps=33)
+    highs = pyramid.highs
+    for one_row in (highs[:, :1], [high[:1] for high in highs], [high[0] for high in highs]):
+        with pytest.raises(ValueError, match="is not the lowbands'"):
+            pyramid_synthesis(pyramid, one_row)
 
 
 @pytest.mark.parametrize("n", [16, 48, 256, 1024])
