@@ -13,6 +13,8 @@ signal is the case T = 1.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -24,6 +26,7 @@ from .spectrum import MAX_LEVELS, _is_integer, row_median, select_levels
 from .transforms import (
     DEFAULT_BANK,
     DEFAULT_TAPS,
+    FilterBank,
     SubbandSet,
     _as_real,
     _cascade_spectra,
@@ -56,7 +59,7 @@ def estimate_sigma(finest_detail: np.ndarray) -> float | np.ndarray:
 
     A float for a 1-D band; one value per row for a (T, K) band.
     """
-    band = np.asarray(finest_detail, dtype=float)
+    band = _as_real(finest_detail)
     if band.shape[-1] < 8:
         raise ValueError(f"need at least 8 coefficients, got {band.shape[-1]}")
     sigma = row_median(np.abs(band)) / 0.6745
@@ -68,32 +71,42 @@ def clamp_depth(levels: int | np.ndarray, cfg: DenoiseConfig, n: int) -> int | n
     levels: at most the deepest decomposition the method allows there,
     feasible_levels at the bank's taps for the DWT methods and
     pyramid_max_levels for the pyramid."""
-    if cfg.method == "pes-pyramid":
-        return np.minimum(levels, pyramid_max_levels(n))
-    return np.minimum(levels, feasible_levels(n, MAX_LEVELS, get_filter_bank(cfg.bank).taps))
+    return np.minimum(levels, _deepest(cfg.method, get_filter_bank(cfg.bank), n))
 
 
-def _wavelet(rows: np.ndarray, levels: int, cfg: DenoiseConfig, shrink) -> np.ndarray:
+def _deepest(method: str, bank: FilterBank, n: int) -> int:
+    """The deepest decomposition method allows at length n, with bank its filter bank."""
+    if method == "pes-pyramid":
+        return pyramid_max_levels(n)
+    return feasible_levels(n, MAX_LEVELS, bank.taps)
+
+
+def _wavelet(rows: np.ndarray, levels: int, bank: FilterBank, shrink) -> np.ndarray:
     """DWT of the (T, n) rows, shrink on the detail bands, inverse DWT.
 
     shrink gets the (T, N) concatenation of the detail bands, finest first.
     """
-    bank = get_filter_bank(cfg.bank)
     bands = dwt_analysis(rows, bank, levels)
-    lengths = tuple(band.shape[-1] for band in bands.details)
+    lengths = tuple([band.shape[-1] for band in bands.details])
     shrunk = shrink(np.concatenate(bands.details, axis=-1), lengths, rows.shape[-1])
     details = [shrunk[:, end - length : end] for length, end in zip(lengths, accumulate(lengths))]
     return dwt_synthesis(SubbandSet(bands.lowband, details), bank)
 
 
-def _pyramid(rows: np.ndarray, levels: int, cfg: DenoiseConfig, shrink) -> np.ndarray:
+@functools.lru_cache(maxsize=64)
+def _octave_cascades(levels: int, n: int) -> tuple[np.ndarray, ...]:
+    """The cascade spectra of the default pyramid: levels octave stages at length n."""
+    return _cascade_spectra(tuple(default_cutoffs(levels)), DEFAULT_TAPS, n)
+
+
+def _pyramid(rows: np.ndarray, levels: int, bank: FilterBank, shrink) -> np.ndarray:
     """Pyramid analysis of the (T, n) rows, shrink on every stage's highband,
     synthesis: the arithmetic of pyramid_analysis and pyramid_synthesis,
     inside one band stack from the thread's workspace.  Each stage's
     lowband is overwritten by its highband, and shrink gets every highband
-    as one row of an (L*T, n) array."""
+    as one row of an (L*T, n) array.  The pyramid reads no filter bank."""
     n = rows.shape[-1]
-    cascades = _cascade_spectra(tuple(default_cutoffs(levels)), DEFAULT_TAPS, n)
+    cascades = _octave_cascades(levels, n)
     bands = scratch("bands", (levels, *rows.shape))
     _fill_lows(rows, cascades, scratch("product", (*bands.shape[:-1], n // 2 + 1), complex), bands)
     out = bands[-1].copy()  # the deepest lowband passes through
@@ -116,7 +129,7 @@ def _universal_shrink(bands: np.ndarray, lengths: tuple[int, ...], n: int) -> np
     """One universal threshold, sigma-hat * sqrt(2 ln n) (Donoho & Johnstone
     1994), across all bands; sigma-hat comes from the finest, in band units."""
     sigma = estimate_sigma(bands[:, : lengths[0]])
-    return soft_threshold(bands, (sigma * np.sqrt(2.0 * np.log(n)))[:, None])
+    return soft_threshold(bands, (sigma * math.sqrt(2.0 * np.log(n)))[:, None])
 
 
 def _three_sigma_shrink(bands: np.ndarray, lengths: tuple[int, ...], n: int) -> np.ndarray:
@@ -124,10 +137,10 @@ def _three_sigma_shrink(bands: np.ndarray, lengths: tuple[int, ...], n: int) -> 
     return soft_threshold(bands, 3.0 * estimate_sigma(bands[:, : lengths[0]])[:, None])
 
 
-# Each method is a decomposition of the rows at one depth plus the shrink
-# rule it applies to the bands.  A shrink rule gets the (rows, N) bands,
-# their band lengths and the signal length, and returns the shrunk bands;
-# it may shrink them in place.
+# Each method is a decomposition of the rows at one depth, with the config's
+# filter bank, plus the shrink rule it applies to the bands.  A shrink rule
+# gets the (rows, N) bands, their band lengths and the signal length, and
+# returns the shrunk bands; it may shrink them in place.
 _METHODS = {
     "pes-wavelet": (_wavelet, _epigraph_shrink),
     "pes-pyramid": (_pyramid, _epigraph_shrink),
@@ -162,40 +175,41 @@ def denoise(x: np.ndarray, cfg: DenoiseConfig, spectrum_levels=None) -> np.ndarr
     x = _as_real(x)
     if x.ndim not in (1, 2):
         raise ValueError(f"expected shape (n,) or (T, n), got {x.ndim}-D input of shape {x.shape}")
-    if x.shape[-1] < 16:
-        raise ValueError(f"need at least 16 samples along the last axis, got {x.shape[-1]}")
-    _check_length(cfg.method, x.shape[-1])
+    n = x.shape[-1]
+    if n < 16:
+        raise ValueError(f"need at least 16 samples along the last axis, got {n}")
+    _check_length(cfg.method, n)
     if x.shape[0] == 0:
         raise ValueError("cannot denoise a batch with no rows")
-    if not np.isfinite(x).all():
+    if not np.logical_and.reduce(np.isfinite(x), axis=None):
         raise ValueError("input contains NaN or infinite samples")
-    rows = np.atleast_2d(x)
+    rows = x.reshape(-1, n)
     if spectrum_levels is not None:
         given = np.asarray(spectrum_levels)
         expected = "an integer" if x.ndim == 1 else f"an integer array of shape {x.shape[:-1]}"
         if given.shape != x.shape[:-1] or given.dtype.kind not in "iu":
             raise ValueError(f"spectrum_levels must be {expected}, got {spectrum_levels!r}")
-        if not np.all((given >= 1) & (given <= MAX_LEVELS)):
+        if not np.logical_and.reduce((given >= 1) & (given <= MAX_LEVELS), axis=None):
             raise ValueError(f"spectrum_levels must lie in [1, {MAX_LEVELS}], got {spectrum_levels!r}")
         spectrum_levels = given.reshape(-1)
+    decompose, shrink = _METHODS[cfg.method]
+    bank = get_filter_bank(cfg.bank)
     if cfg.levels is not None:
-        depths = np.full(rows.shape[0], cfg.levels)
+        depths = np.asarray(cfg.levels).repeat(rows.shape[0])  # np.full, without its wrapper
     else:
         if spectrum_levels is None:
             spectrum_levels = select_levels(rows)
-        depths = clamp_depth(spectrum_levels, cfg, x.shape[-1])
-    decompose, shrink = _METHODS[cfg.method]
+        depths = np.minimum(spectrum_levels, _deepest(cfg.method, bank, n))
     # Rows of depth L run in blocks of BLOCK_ELEMENTS band values, so that no method's temporaries
     # grow with a call's rows (see _workspace): a DWT row's bands hold n, the pyramid's L*n.
     groups = sorted(set(depths.tolist()))
-    per_row = [x.shape[-1] * (1 if decompose is _wavelet else L) for L in groups]
-    blocks = [max(1, BLOCK_ELEMENTS // size) for size in per_row]
+    blocks = [max(1, BLOCK_ELEMENTS // (n if decompose is _wavelet else L * n)) for L in groups]
     if len(groups) == 1 and rows.shape[0] <= blocks[0]:
         # One depth and one block: no copies in and out of the blocks.
-        return decompose(rows, groups[0], cfg, shrink).reshape(x.shape)
+        return decompose(rows, groups[0], bank, shrink).reshape(x.shape)
     out = np.empty_like(rows)
     for levels, block in zip(groups, blocks):
         picked = np.flatnonzero(depths == levels)
         for index in np.split(picked, range(block, picked.shape[0], block)):
-            out[index] = decompose(rows[index], levels, cfg, shrink)
+            out[index] = decompose(rows[index], levels, bank, shrink)
     return out.reshape(x.shape)

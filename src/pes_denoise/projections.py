@@ -39,7 +39,7 @@ def soft_threshold(w: np.ndarray, theta: float | np.ndarray) -> np.ndarray:
     theta is a scalar or broadcasts against w, e.g. one threshold per row
     of a (T, K) array as a (T, 1) column.
     """
-    if not (np.asarray(theta) >= 0).all():
+    if not np.logical_and.reduce(np.asarray(theta) >= 0, axis=None):
         raise ValueError(f"threshold must be nonnegative, got {theta}")
     w = _as_real(w)
     out = np.empty(np.broadcast(w, theta).shape)
@@ -104,7 +104,7 @@ def _per_entry(values: np.ndarray, band: np.ndarray, out: np.ndarray) -> np.ndar
     written into out, a (rows, N) buffer."""
     if values.shape[-1] == 1:
         return values
-    return np.take(values, band, axis=-1, out=out, mode="clip")
+    return values.take(band, axis=-1, out=out, mode="clip")
 
 
 def _sorted_rule(
@@ -144,13 +144,14 @@ def _sorted_rule(
     # passes at.  A band with no candidate gets one column: q = -inf there,
     # and theta 0 once floored, or NaN from a NaN floor (non-finite input),
     # a threshold as meaningless as such input makes every other one.
-    ranks = np.arange(1, max(counts.max(), 1) + 1)
-    mu = np.full((counts.shape[0], ranks.shape[0]), -np.inf)
+    ranks = np.arange(1, max(np.maximum.reduce(counts, axis=None), 1) + 1)
+    mu = np.empty((counts.shape[0], ranks.shape[0]))
+    mu.fill(-np.inf)
     mu[ranks <= counts] = mag[flag]  # both row-major, so each band's candidates fill its row
     mu.sort(axis=-1)
     mu = mu[:, ::-1]  # mu_1 >= mu_2 >= ... >= mu_c, then the padding
     q = (np.add.accumulate(mu, axis=-1) - d.reshape(-1, 1)) / ranks  # (sum_{r<=j} mu_r - d)/j
-    kept = np.maximum(((mu > q) * ranks).max(axis=-1), 1)  # the last j that passes
+    kept = np.maximum(np.maximum.reduce((mu > q) * ranks, axis=-1), 1)  # the last j that passes
     theta = np.maximum(q[np.arange(kept.shape[0]), kept - 1], 0.0)
     return theta.reshape(l1.shape), kept.reshape(l1.shape)
 
@@ -183,7 +184,7 @@ def _project(
     flag = scratch("flag", w.shape, bool)
     l1 = np.add.reduceat(mag, starts, axis=-1)
     nnz = sizes
-    if not np.minimum.reduceat(mag, starts, axis=-1).all():
+    if not np.logical_and.reduce(np.minimum.reduceat(mag, starts, axis=-1), axis=None):
         np.not_equal(mag, 0.0, out=flag)
         nnz = np.add.reduceat(flag, starts, axis=-1, dtype=np.intp)
     # The epigraph step: (w, 0) reaches the boundary hyperplane after a step

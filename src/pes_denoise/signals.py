@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectrum import _is_integer
+from .transforms import _as_real
 
 _BREAKPOINTS = [0.1, 0.13, 0.15, 0.23, 0.25, 0.4, 0.44, 0.65, 0.76, 0.78, 0.81]
 _BLOCK_STEPS = [4, -5, 3, -4, 5, -4.2, 2.1, 4.3, -3.1, 2.1, -4.2]
@@ -173,7 +174,7 @@ def add_gaussian_noise(v: np.ndarray, spec: NoiseSpec) -> np.ndarray:
     sigma = spec.amplitude_fraction times v's positive peak max(v) (its
     absolute peak when max(v) <= 0) and z the standard normal samples
     (PCG64 ziggurat) that spec.seed draws."""
-    v = np.asarray(v, dtype=float)
+    v = _as_real(v)
     return _add_noise(v, spec.amplitude_fraction, _unit_noise(spec.seed, v.shape[0]))
 
 
@@ -184,14 +185,16 @@ def snr_db(reference: np.ndarray, estimate: np.ndarray) -> float | np.ndarray:
     reference is then (T, n) or one (n,) signal shared by every row.  An
     exact match gives +inf.
     """
-    reference = np.asarray(reference, dtype=float)
-    estimate = np.asarray(estimate, dtype=float)
+    reference = _as_real(reference)
+    estimate = _as_real(estimate)
     if estimate.ndim not in (1, 2) or reference.shape not in (estimate.shape, estimate.shape[-1:]):
         raise ValueError(f"length mismatch: {reference.shape} vs {estimate.shape}")
-    ref_norm = np.linalg.norm(reference, axis=-1)
+    # Norms along the last axis, with no temporary of the squares.
+    ref_norm = np.sqrt(np.einsum("...i,...i->...", reference, reference))
     if np.any(ref_norm == 0.0):
         raise ValueError("reference signal is identically zero")
-    err_norm = np.linalg.norm(reference - estimate, axis=-1)
+    err = reference - estimate
+    err_norm = np.sqrt(np.einsum("...i,...i->...", err, err))
     with np.errstate(divide="ignore"):
         snr = 20.0 * np.log10(ref_norm / err_norm)
     return float(snr) if estimate.ndim == 1 else snr

@@ -24,6 +24,7 @@ ALPHA = 3.0
 SMOOTH_WINDOW = 9
 MAX_LEVELS = 6
 _CUTOFFS = math.pi / 2.0 ** np.arange(1, MAX_LEVELS + 1)  # pi/2^L, L = 1..MAX_LEVELS
+_KERNEL = np.ones(SMOOTH_WINDOW) / SMOOTH_WINDOW  # _smooth's moving average
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ def magnitude_spectrum(x: np.ndarray) -> np.ndarray:
     x = _as_real(x)
     if x.shape[-1] < 16:
         raise ValueError(f"need at least 16 samples along the last axis, got {x.shape[-1]}")
-    if not np.isfinite(x).all():
+    if not np.logical_and.reduce(np.isfinite(x), axis=None):
         raise ValueError("input contains NaN or infinite samples")
     return np.abs(np.fft.rfft(x, axis=-1))
 
@@ -55,14 +56,15 @@ def magnitude_spectrum(x: np.ndarray) -> np.ndarray:
 def row_median(a: np.ndarray) -> np.ndarray:
     """np.median(a, axis=-1), bit for bit where a holds no -0.0: the middle
     order statistic of each row for an odd length, else the mean of the two
-    middle ones.  One partition puts the upper middle in place, and the
-    lower middle is the largest entry below it."""
+    middle ones.  One partition of a copy puts the upper middle in place,
+    and the lower middle is the largest entry below it."""
     k = a.shape[-1]
-    part = np.partition(a, k // 2, axis=-1)
+    part = a.copy()
+    part.partition(k // 2, axis=-1)
     upper = part.take(k // 2, axis=-1)
     if k % 2:
         return upper
-    return (part[..., : k // 2].max(axis=-1) + upper) / 2
+    return (np.maximum.reduce(part[..., : k // 2], axis=-1) + upper) / 2
 
 
 def _smooth(mag: np.ndarray) -> np.ndarray:
@@ -72,8 +74,7 @@ def _smooth(mag: np.ndarray) -> np.ndarray:
     if mag.shape[-1] <= h:
         raise ValueError(f"need more than {h} spectrum bins for a {SMOOTH_WINDOW}-bin window")
     padded = np.concatenate([mag[:, h:0:-1], mag, mag[:, -2:-h - 2:-1]], axis=-1)
-    kernel = np.ones(SMOOTH_WINDOW) / SMOOTH_WINDOW
-    return np.array([np.convolve(row, kernel, mode="valid") for row in padded])
+    return np.array([np.convolve(row, _KERNEL, mode="valid") for row in padded])
 
 
 def _depth(omega0: float | np.ndarray) -> np.ndarray:
@@ -92,6 +93,26 @@ def _by_crossing(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return omega0, levels, (crossing == 0) | (math.pi / 2.0**levels <= omega0)
 
 
+def _crossings(mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Noise floor and crossing of each row of a half spectrum of shape (m,)
+    or (T, m), as (T,) arrays: the crossing is one past the last bin whose
+    smoothed magnitude clears ALPHA times the floor, 0 when none does.
+
+    These are both entry points' checks on the spectrum.  An rfft of finite
+    samples can still overflow, so select_levels needs the finite check too.
+    """
+    if mag.ndim not in (1, 2):
+        raise ValueError(f"expected a half spectrum of shape (m,) or (T, m), got shape {mag.shape}")
+    if not np.logical_and.reduce(np.isfinite(mag), axis=None):
+        raise ValueError("half spectrum contains NaN or infinite values")
+    smoothed = _smooth(mag[None] if mag.ndim == 1 else mag)
+    m = smoothed.shape[-1]
+    noise_floor = row_median(smoothed[:, (3 * m) // 4:])
+    above = smoothed >= ALPHA * noise_floor[:, None]
+    crossing = np.logical_or.reduce(above, axis=-1) * (m - above[:, ::-1].argmax(axis=-1))
+    return noise_floor, crossing
+
+
 def estimate_bandwidth(mag: np.ndarray) -> BandwidthEstimate:
     """Bandwidth and depth from a half spectrum of shape (m,) or (T, m).
 
@@ -99,23 +120,17 @@ def estimate_bandwidth(mag: np.ndarray) -> BandwidthEstimate:
     and one that clears it up to the Nyquist bin gets omega0 = pi and depth
     1; both are flagged degenerate, as is any depth not above omega0.
     """
-    mag = np.asarray(mag, dtype=float)
-    if mag.ndim not in (1, 2):
-        raise ValueError(f"expected a half spectrum of shape (m,) or (T, m), got shape {mag.shape}")
-    if not np.isfinite(mag).all():
-        raise ValueError("half spectrum contains NaN or infinite values")
-    smoothed = _smooth(np.atleast_2d(mag))
-    m = smoothed.shape[-1]
-    noise_floor = row_median(smoothed[:, (3 * m) // 4:])
-    above = smoothed >= ALPHA * noise_floor[:, None]
-    # One past the last bin that clears the floor, 0 when none does.
-    crossing = np.where(above.any(axis=-1), m - np.argmax(above[:, ::-1], axis=-1), 0)
-    omega0, levels, degenerate = (table[crossing] for table in _by_crossing(m))
+    mag = _as_real(mag)
+    noise_floor, crossing = _crossings(mag)
+    omega0, levels, degenerate = (table[crossing] for table in _by_crossing(mag.shape[-1]))
     fields = (omega0, noise_floor, levels, degenerate)
     return BandwidthEstimate(*(field.item() for field in fields) if mag.ndim == 1 else fields)
 
 
 def select_levels(x: np.ndarray) -> int | np.ndarray:
     """Decomposition depth for a (noisy) signal, straight from its spectrum:
-    an int for a 1-D signal, an int array with one per row for a (T, n) array."""
-    return estimate_bandwidth(magnitude_spectrum(x)).levels
+    an int for a 1-D signal, an int array with one per row for a (T, n) array.
+    It is estimate_bandwidth(magnitude_spectrum(x)).levels."""
+    mag = magnitude_spectrum(x)
+    levels = _by_crossing(mag.shape[-1])[1][_crossings(mag)[1]]
+    return levels.item() if mag.ndim == 1 else levels

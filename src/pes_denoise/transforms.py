@@ -20,6 +20,7 @@ rfft times the product of the stage kernel spectra up to that stage.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +39,12 @@ class FilterBank:
 
 def _as_real(x) -> np.ndarray:
     """x as a float array; ValueError for complex x, whose imaginary part a
-    float cast would drop."""
-    if np.iscomplexobj(x):
+    float cast would drop.  The test is np.iscomplexobj's, without its
+    Python wrapper."""
+    x = np.asarray(x)
+    if x.dtype.kind == "c":
         raise ValueError("input must be real, got complex samples")
-    return np.asarray(x, dtype=float)
+    return x.astype(float, copy=False)
 
 
 def _qmf_highpass(lo: np.ndarray) -> np.ndarray:
@@ -146,15 +149,16 @@ def _dwt_step(x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
 
     Periodic boundary: indices wrap modulo the signal length.
     """
-    gathered = np.take(x, _step_indices(x.shape[-1] // 2, lo.shape[0])[0], axis=-1)
+    gathered = x.take(_step_indices(x.shape[-1] // 2, lo.shape[0])[0], axis=-1)
     return gathered @ lo, gathered @ hi
 
 
 def _idwt_step(a: np.ndarray, d: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Adjoint of :func:`_dwt_step`, computed as a gather."""
+    """Adjoint of :func:`_dwt_step`, computed as a gather.  lo and hi are the
+    analysis taps reshaped to (taps/2, 2), which dwt_synthesis does once."""
     half = a.shape[-1]
-    idx = _step_indices(half, lo.shape[0])[1]
-    y = np.take(a, idx, axis=-1) @ lo.reshape(-1, 2) + np.take(d, idx, axis=-1) @ hi.reshape(-1, 2)
+    idx = _step_indices(half, 2 * lo.shape[0])[1]
+    y = a.take(idx, axis=-1) @ lo + d.take(idx, axis=-1) @ hi
     return y.reshape(*a.shape[:-1], 2 * half)
 
 
@@ -165,7 +169,7 @@ def dwt_analysis(x: np.ndarray, bank: FilterBank, levels: int) -> SubbandSet:
     if error is not None:
         raise ValueError(error)
     lo, hi = bank.analysis_lo, bank.analysis_hi
-    current = x / np.sqrt(n)
+    current = x / math.sqrt(n)
     details: list[np.ndarray] = []
     for _ in range(levels):
         current, detail = _dwt_step(current, lo, hi)
@@ -177,7 +181,7 @@ def dwt_synthesis(bands: SubbandSet, bank: FilterBank) -> np.ndarray:
     """Inverse of dwt_analysis: every bank is orthonormal, so each step's
     adjoint on the analysis taps inverts it.  Each detail band must have
     the shape of the band it is joined with."""
-    lo, hi = bank.analysis_lo, bank.analysis_hi
+    lo, hi = bank.analysis_lo.reshape(-1, 2), bank.analysis_hi.reshape(-1, 2)
     current = np.asarray(bands.lowband)
     for detail in reversed(bands.details):
         if detail.shape != current.shape:
@@ -185,7 +189,7 @@ def dwt_synthesis(bands: SubbandSet, bank: FilterBank) -> np.ndarray:
                 f"inconsistent band shapes: lowband {current.shape} vs detail {detail.shape}"
             )
         current = _idwt_step(current, detail, lo, hi)
-    return current * np.sqrt(current.shape[-1])
+    return current * math.sqrt(current.shape[-1])
 
 
 # ---------------------------------------------------------------------------

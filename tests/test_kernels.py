@@ -107,7 +107,7 @@ def test_batched_steps_match_loops(name):
     rng = np.random.default_rng(66)
     for half in sorted({1, 2, 3, bank.taps // 2, 2 * bank.taps, 33}):
         a, d = rng.normal(size=(3, half)), rng.normal(size=(3, half))
-        y = _idwt_step(a, d, lo, hi)
+        y = _idwt_step(a, d, lo.reshape(-1, 2), hi.reshape(-1, 2))
         assert y.shape == (3, 2 * half)
         x = rng.normal(size=(3, 2 * half))
         low, high = _dwt_step(x, bank.analysis_lo, bank.analysis_hi)

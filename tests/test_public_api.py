@@ -8,6 +8,9 @@ import dataclasses
 import importlib
 import inspect
 
+import numpy as np
+import pytest
+
 import pes_denoise
 from pes_denoise import DenoiseConfig
 
@@ -117,3 +120,20 @@ def test_projection_parameters_are_pinned():
     }
     for name, expected in params.items():
         assert list(inspect.signature(getattr(pes_denoise, name)).parameters) == expected, name
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pes_denoise.estimate_bandwidth,
+        pes_denoise.estimate_sigma,
+        lambda z: pes_denoise.snr_db(z, np.ones(64)),
+        lambda z: pes_denoise.snr_db(np.ones(64), z),
+        lambda z: pes_denoise.add_gaussian_noise(z, pes_denoise.NoiseSpec(0.1)),
+    ],
+    ids=["estimate_bandwidth", "estimate_sigma", "snr_db-reference", "snr_db-estimate", "add_gaussian_noise"],
+)
+def test_numeric_entry_points_refuse_complex_input(call):
+    # A float cast would drop the imaginary part with only a ComplexWarning.
+    with pytest.raises(ValueError, match="complex"):
+        call(np.ones(64) + 0.5j)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pes_denoise.signals import NoiseSpec, add_gaussian_noise, generate_test_signal
+from pes_denoise.signals import SIGNAL_NAMES, NoiseSpec, add_gaussian_noise, generate_test_signal
 from pes_denoise.spectrum import (
     MAX_LEVELS,
     _depth,
@@ -81,6 +81,41 @@ def test_row_median_equals_np_median_bit_for_bit(seed, shape, ties):
 def test_select_levels_refuses_complex_input():
     with pytest.raises(ValueError, match="complex"):
         select_levels(np.ones(64) + 1j)
+
+
+def test_select_levels_refuses_an_overflowing_spectrum():
+    # Finite samples whose rfft overflows: the spectrum's own check refuses them.
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="half spectrum"):
+        select_levels(np.full(256, 1e307))
+
+
+def _row(rng: np.random.Generator, kind: str, n: int) -> np.ndarray:
+    if kind == "zero":
+        return np.zeros(n)
+    if kind == "constant":
+        return np.full(n, rng.normal())
+    clean = generate_test_signal(kind, n)
+    return add_gaussian_noise(clean, NoiseSpec(float(rng.uniform(0.01, 1.0)), seed=int(rng.integers(2**32))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from(["zero", "constant", *SIGNAL_NAMES]), min_size=1, max_size=5),
+    n=st.integers(16, 1100),
+    batch=st.booleans(),
+)
+def test_select_levels_is_the_estimates_depth(seed, kinds, n, batch):
+    # Both entry points share one core behind their own checks.
+    rng = np.random.default_rng(seed)
+    x = np.stack([_row(rng, kind, n) for kind in kinds]) if batch else _row(rng, kinds[0], n)
+    got = select_levels(x)
+    want = estimate_bandwidth(magnitude_spectrum(x)).levels
+    if batch:
+        assert isinstance(got, np.ndarray) and got.dtype.kind == "i" and got.shape == (len(kinds),)
+        assert np.array_equal(got, want)
+    else:
+        assert type(got) is int and got == want
 
 
 def test_depth_hand_cases():
