@@ -13,7 +13,6 @@ signal is the case T = 1.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from itertools import accumulate
@@ -22,7 +21,7 @@ import numpy as np
 
 from ._workspace import BLOCK_ELEMENTS, scratch
 from .projections import _project, soft_threshold
-from .spectrum import MAX_LEVELS, _is_integer, row_median, select_levels
+from .spectrum import _MAX_MASS, MAX_LEVELS, _is_integer, _sample_error, row_median, select_levels
 from .transforms import (
     DEFAULT_BANK,
     DEFAULT_TAPS,
@@ -30,7 +29,8 @@ from .transforms import (
     SubbandSet,
     _as_real,
     _cascade_spectra,
-    _fill_lows,
+    _join_pyramid,
+    _split_pyramid,
     default_cutoffs,
     dwt_analysis,
     dwt_synthesis,
@@ -81,43 +81,34 @@ def _deepest(method: str, bank: FilterBank, n: int) -> int:
     return feasible_levels(n, MAX_LEVELS, bank.taps)
 
 
-def _wavelet(rows: np.ndarray, levels: int, bank: FilterBank, shrink) -> np.ndarray:
-    """DWT of the (T, n) rows, shrink on the detail bands, inverse DWT.
-
-    shrink gets the (T, N) concatenation of the detail bands, finest first.
-    """
+def _wavelet_analysis(rows: np.ndarray, levels: int, bank: FilterBank):
+    """The rows' DWT: the detail bands side by side, finest first, their lengths, the lowband."""
     bands = dwt_analysis(rows, bank, levels)
     lengths = tuple([band.shape[-1] for band in bands.details])
-    shrunk = shrink(np.concatenate(bands.details, axis=-1), lengths, rows.shape[-1])
-    details = [shrunk[:, end - length : end] for length, end in zip(lengths, accumulate(lengths))]
-    return dwt_synthesis(SubbandSet(bands.lowband, details), bank)
+    return np.concatenate(bands.details, axis=-1), lengths, bands.lowband
 
 
-@functools.lru_cache(maxsize=64)
-def _octave_cascades(levels: int, n: int) -> tuple[np.ndarray, ...]:
-    """The cascade spectra of the default pyramid: levels octave stages at length n."""
-    return _cascade_spectra(tuple(default_cutoffs(levels)), DEFAULT_TAPS, n)
+def _wavelet_synthesis(details: np.ndarray, lengths: tuple, lowband: np.ndarray, bank: FilterBank):
+    """Inverse DWT of _wavelet_analysis's three parts."""
+    bands = [details[:, end - length : end] for length, end in zip(lengths, accumulate(lengths))]
+    return dwt_synthesis(SubbandSet(lowband, bands), bank)
 
 
-def _pyramid(rows: np.ndarray, levels: int, bank: FilterBank, shrink) -> np.ndarray:
-    """Pyramid analysis of the (T, n) rows, shrink on every stage's highband,
-    synthesis: the arithmetic of pyramid_analysis and pyramid_synthesis,
-    inside one band stack from the thread's workspace.  Each stage's
-    lowband is overwritten by its highband, and shrink gets every highband
-    as one row of an (L*T, n) array.  The pyramid reads no filter bank."""
+def _pyramid_analysis(rows: np.ndarray, levels: int, bank: FilterBank):
+    """pyramid_analysis of the (T, n) rows in the workspace band stack, each
+    stage's lowband overwritten by its highband: the (L*T, n) highbands,
+    their length n and the deepest lowband.  It reads no filter bank."""
     n = rows.shape[-1]
-    cascades = _octave_cascades(levels, n)
+    cascades = _cascade_spectra(tuple(default_cutoffs(levels)), DEFAULT_TAPS, n)
     bands = scratch("bands", (levels, *rows.shape))
-    _fill_lows(rows, cascades, scratch("product", (*bands.shape[:-1], n // 2 + 1), complex), bands)
-    out = bands[-1].copy()  # the deepest lowband passes through
-    # Deepest first, so that no lowband is read after it is overwritten.
-    for k in range(levels - 1, 0, -1):
-        np.subtract(bands[k - 1], bands[k], out=bands[k])
-    np.subtract(rows, bands[0], out=bands[0])
-    highs = shrink(bands.reshape(-1, n), (n,), n).reshape(bands.shape)
-    for high in highs[::-1]:  # coarsest first, as pyramid_synthesis sums
-        out += high
-    return out
+    product = scratch("product", (*bands.shape[:-1], n // 2 + 1), complex)
+    deepest = _split_pyramid(rows, cascades, product, bands, bands)
+    return bands.reshape(-1, n), (n,), deepest
+
+
+def _pyramid_synthesis(highs: np.ndarray, lengths: tuple, deepest: np.ndarray, bank: FilterBank):
+    """pyramid_synthesis of _pyramid_analysis's three parts."""
+    return _join_pyramid(deepest, highs.reshape(-1, *deepest.shape))
 
 
 def _epigraph_shrink(bands: np.ndarray, lengths: tuple[int, ...], n: int) -> np.ndarray:
@@ -137,15 +128,15 @@ def _three_sigma_shrink(bands: np.ndarray, lengths: tuple[int, ...], n: int) -> 
     return soft_threshold(bands, 3.0 * estimate_sigma(bands[:, : lengths[0]])[:, None])
 
 
-# Each method is a decomposition of the rows at one depth, with the config's
-# filter bank, plus the shrink rule it applies to the bands.  A shrink rule
-# gets the (rows, N) bands, their band lengths and the signal length, and
-# returns the shrunk bands; it may shrink them in place.
+# Each method is (analysis, shrink rule, synthesis).  The analysis turns the
+# (T, n) rows, a depth and a filter bank into (T, N) bands, their lengths and
+# the lowband; the shrink rule maps the bands, lengths and n to shrunk bands,
+# maybe in place; the synthesis rebuilds the rows from those and the lowband.
 _METHODS = {
-    "pes-wavelet": (_wavelet, _epigraph_shrink),
-    "pes-pyramid": (_pyramid, _epigraph_shrink),
-    "universal": (_wavelet, _universal_shrink),
-    "three-sigma": (_wavelet, _three_sigma_shrink),
+    "pes-wavelet": (_wavelet_analysis, _epigraph_shrink, _wavelet_synthesis),
+    "pes-pyramid": (_pyramid_analysis, _epigraph_shrink, _pyramid_synthesis),
+    "universal": (_wavelet_analysis, _universal_shrink, _wavelet_synthesis),
+    "three-sigma": (_wavelet_analysis, _three_sigma_shrink, _wavelet_synthesis),
 }
 METHODS = tuple(_METHODS)
 
@@ -153,7 +144,7 @@ METHODS = tuple(_METHODS)
 def _check_length(method: str, n: int) -> None:
     """Raise ValueError unless method runs on signals of length n: a DWT
     halves the length at every level, so it needs an even n."""
-    if n % 2 and _METHODS[method][0] is _wavelet:
+    if n % 2 and _METHODS[method][0] is _wavelet_analysis:
         raise ValueError(f"{method} needs an even signal length, got n={n}")
 
 
@@ -161,9 +152,10 @@ def denoise(x: np.ndarray, cfg: DenoiseConfig, spectrum_levels=None) -> np.ndarr
     """Denoise x along its last axis with the method cfg names.
 
     x is one signal of shape (n,) or a batch of shape (T, n), with
-    n >= 16 (and even for the DWT methods) and every sample real and
-    finite.  Each row is denoised on its own, with its own depth and (for
-    the baselines) its own sigma-hat; the output has x's shape.
+    n >= 16 (and even for the DWT methods) and every sample real, finite
+    and below 2^1020/n in magnitude.  Each row is denoised on its own,
+    with its own depth and (for the baselines) its own sigma-hat; the
+    output has x's shape.
 
     The depth is cfg.levels when set, else each row's spectrum depth,
     clamped by clamp_depth.  spectrum_levels, when given, are those
@@ -181,8 +173,9 @@ def denoise(x: np.ndarray, cfg: DenoiseConfig, spectrum_levels=None) -> np.ndarr
     _check_length(cfg.method, n)
     if x.shape[0] == 0:
         raise ValueError("cannot denoise a batch with no rows")
-    if not np.logical_and.reduce(np.isfinite(x), axis=None):
-        raise ValueError("input contains NaN or infinite samples")
+    peak = np.maximum.reduce(np.abs(x), axis=None)
+    if not peak < _MAX_MASS / n:
+        raise _sample_error(peak, n)
     rows = x.reshape(-1, n)
     if spectrum_levels is not None:
         given = np.asarray(spectrum_levels)
@@ -192,7 +185,7 @@ def denoise(x: np.ndarray, cfg: DenoiseConfig, spectrum_levels=None) -> np.ndarr
         if not np.logical_and.reduce((given >= 1) & (given <= MAX_LEVELS), axis=None):
             raise ValueError(f"spectrum_levels must lie in [1, {MAX_LEVELS}], got {spectrum_levels!r}")
         spectrum_levels = given.reshape(-1)
-    decompose, shrink = _METHODS[cfg.method]
+    analysis, shrink, synthesis = _METHODS[cfg.method]
     bank = get_filter_bank(cfg.bank)
     if cfg.levels is not None:
         depths = np.asarray(cfg.levels).repeat(rows.shape[0])  # np.full, without its wrapper
@@ -203,13 +196,15 @@ def denoise(x: np.ndarray, cfg: DenoiseConfig, spectrum_levels=None) -> np.ndarr
     # Rows of depth L run in blocks of BLOCK_ELEMENTS band values, so that no method's temporaries
     # grow with a call's rows (see _workspace): a DWT row's bands hold n, the pyramid's L*n.
     groups = sorted(set(depths.tolist()))
-    blocks = [max(1, BLOCK_ELEMENTS // (n if decompose is _wavelet else L * n)) for L in groups]
+    blocks = [max(1, BLOCK_ELEMENTS // (n if analysis is _wavelet_analysis else L * n)) for L in groups]
     if len(groups) == 1 and rows.shape[0] <= blocks[0]:
         # One depth and one block: no copies in and out of the blocks.
-        return decompose(rows, groups[0], bank, shrink).reshape(x.shape)
+        bands, lengths, lowband = analysis(rows, groups[0], bank)
+        return synthesis(shrink(bands, lengths, n), lengths, lowband, bank).reshape(x.shape)
     out = np.empty_like(rows)
     for levels, block in zip(groups, blocks):
         picked = np.flatnonzero(depths == levels)
         for index in np.split(picked, range(block, picked.shape[0], block)):
-            out[index] = decompose(rows[index], levels, bank, shrink)
+            bands, lengths, lowband = analysis(rows[index], levels, bank)
+            out[index] = synthesis(shrink(bands, lengths, n), lengths, lowband, bank)
     return out.reshape(x.shape)

@@ -25,6 +25,9 @@ SMOOTH_WINDOW = 9
 MAX_LEVELS = 6
 _CUTOFFS = math.pi / 2.0 ** np.arange(1, MAX_LEVELS + 1)  # pi/2^L, L = 1..MAX_LEVELS
 _KERNEL = np.ones(SMOOTH_WINDOW) / SMOOTH_WINDOW  # _smooth's moving average
+# Length-n samples are refused from max|x| >= _MAX_MASS / n: below it no rfft
+# bin (at most n*max|x|) and no band's l1 mass (about 2n*max|x|) overflows.
+_MAX_MASS = 2.0**1020
 
 
 @dataclass(frozen=True)
@@ -42,14 +45,27 @@ def _is_integer(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
+def _sample_error(peak: float, n: int) -> ValueError:
+    """The error for length-n samples of largest magnitude peak, which is
+    NaN, infinite or at least _MAX_MASS / n."""
+    if not math.isfinite(peak):
+        return ValueError("input contains NaN or infinite samples")
+    return ValueError(
+        f"samples too large: max|x| = {peak:.6g} must stay below 2^1020/n = {_MAX_MASS / n:.6g} "
+        f"at n = {n}, or the spectrum and the band sums could overflow"
+    )
+
+
 def magnitude_spectrum(x: np.ndarray) -> np.ndarray:
     """|DFT| at bins 0..N/2 along the last axis (real-input half spectrum);
-    bin k <-> 2*pi*k/N.  NaN and infinite samples are refused."""
+    bin k <-> 2*pi*k/N.  NaN, infinite and too large samples (max|x| at
+    least 2^1020/N) are refused."""
     x = _as_real(x)
-    if x.shape[-1] < 16:
-        raise ValueError(f"need at least 16 samples along the last axis, got {x.shape[-1]}")
-    if not np.logical_and.reduce(np.isfinite(x), axis=None):
-        raise ValueError("input contains NaN or infinite samples")
+    if x.ndim == 0 or x.shape[-1] < 16 or x.size == 0:
+        raise ValueError(f"need one or more signals of at least 16 samples, got shape {x.shape}")
+    peak = np.maximum.reduce(np.abs(x), axis=None)
+    if not peak < _MAX_MASS / x.shape[-1]:
+        raise _sample_error(peak, x.shape[-1])
     return np.abs(np.fft.rfft(x, axis=-1))
 
 
@@ -98,11 +114,13 @@ def _crossings(mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     or (T, m), as (T,) arrays: the crossing is one past the last bin whose
     smoothed magnitude clears ALPHA times the floor, 0 when none does.
 
-    These are both entry points' checks on the spectrum.  An rfft of finite
-    samples can still overflow, so select_levels needs the finite check too.
+    These are estimate_bandwidth's checks on the spectrum it is given;
+    magnitude_spectrum's size bound keeps select_levels's spectra finite.
     """
-    if mag.ndim not in (1, 2):
-        raise ValueError(f"expected a half spectrum of shape (m,) or (T, m), got shape {mag.shape}")
+    if mag.ndim not in (1, 2) or mag.size == 0:
+        raise ValueError(
+            f"expected a nonempty half spectrum of shape (m,) or (T, m), got shape {mag.shape}"
+        )
     if not np.logical_and.reduce(np.isfinite(mag), axis=None):
         raise ValueError("half spectrum contains NaN or infinite values")
     smoothed = _smooth(mag[None] if mag.ndim == 1 else mag)

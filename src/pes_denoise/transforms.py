@@ -15,6 +15,11 @@ zero-phase windowed-sinc FIR and defines the highband by subtraction,
 making every stage additive sample-for-sample.  Since the stages are a
 cascade of circular filters, every lowband comes from the input's one
 rfft times the product of the stage kernel spectra up to that stage.
+The analysis (_split_pyramid) and the synthesis (_join_pyramid, the
+deepest lowband plus the highbands, coarsest first) are each written
+once: pyramid_analysis and pyramid_synthesis run them on fresh arrays,
+and denoise on its workspace band stack, each highband in place of its
+stage's lowband.
 """
 
 from __future__ import annotations
@@ -262,17 +267,31 @@ def _cascade_spectra(cutoffs: tuple[float, ...], taps: int, n: int) -> tuple[np.
     return (*shallower, spectrum)
 
 
-def _fill_lows(
-    x: np.ndarray, cascades: tuple[np.ndarray, ...], product: np.ndarray, out: np.ndarray
-) -> None:
-    """Write every stage's lowband of x, an (..., n) array, into out, an
-    (L, ..., n) array: x's rfft times each of the L cascade spectra in
-    product, an (L, ..., n//2 + 1) complex buffer, then one batched irfft.
-    The rfft is held in the last stage, which is multiplied last."""
+def _split_pyramid(
+    x: np.ndarray, cascades: tuple, product: np.ndarray, lows: np.ndarray, highs: np.ndarray
+) -> np.ndarray:
+    """Write x's lowband at every stage into lows and its highband into
+    highs, and return a copy of the deepest lowband.  x is (..., n), lows and
+    highs (L, ..., n), product an (L, ..., n//2 + 1) complex buffer: x's rfft,
+    held in the last stage, times each cascade spectrum, then one batched
+    irfft.  Highbands are written deepest first, so highs may be lows."""
     spectrum = np.fft.rfft(x, axis=-1, out=product[-1])
     for cascade, stage in zip(cascades, product):
         np.multiply(spectrum, cascade, out=stage)
-    np.fft.irfft(product, x.shape[-1], axis=-1, out=out)
+    np.fft.irfft(product, x.shape[-1], axis=-1, out=lows)
+    deepest = lows[-1].copy()
+    for k in range(len(lows) - 1, 0, -1):
+        np.subtract(lows[k - 1], lows[k], out=highs[k])
+    np.subtract(x, lows[0], out=highs[0])
+    return deepest
+
+
+def _join_pyramid(deepest: np.ndarray, highs) -> np.ndarray:
+    """deepest plus the highs, one per stage finest first, summed coarsest
+    first into deepest."""
+    for high in reversed(highs):
+        deepest += high
+    return deepest
 
 
 def pyramid_analysis(x: np.ndarray, cutoffs: list[float], taps: int = DEFAULT_TAPS) -> PyramidSet:
@@ -282,10 +301,8 @@ def pyramid_analysis(x: np.ndarray, cutoffs: list[float], taps: int = DEFAULT_TA
     n = x.shape[-1]
     cascades = _cascade_spectra(tuple(cutoffs), taps, n)
     lows = np.empty((len(cascades), *x.shape))
-    _fill_lows(x, cascades, np.empty((*lows.shape[:-1], n // 2 + 1), dtype=complex), lows)
     highs = np.empty_like(lows)
-    np.subtract(x, lows[0], out=highs[0])
-    np.subtract(lows[:-1], lows[1:], out=highs[1:])
+    _split_pyramid(x, cascades, np.empty((*lows.shape[:-1], n // 2 + 1), dtype=complex), lows, highs)
     return PyramidSet(lows=lows, highs=highs)
 
 
@@ -302,9 +319,8 @@ def pyramid_synthesis(
     stages = len(pyramid.lows)
     if len(denoised_highs) != stages:
         raise ValueError(f"need one high band per stage: got {len(denoised_highs)} for {stages} stages")
-    y = pyramid.lows[-1].copy()
+    deepest = pyramid.lows[-1].copy()
     for high in reversed(denoised_highs):
-        if np.shape(high) != y.shape:
-            raise ValueError(f"high band shape {np.shape(high)} is not the lowbands' {y.shape}")
-        y += high
-    return y
+        if np.shape(high) != deepest.shape:
+            raise ValueError(f"high band shape {np.shape(high)} is not the lowbands' {deepest.shape}")
+    return _join_pyramid(deepest, denoised_highs)

@@ -8,6 +8,20 @@ import math
 
 import numpy as np
 
+from pes_denoise import (
+    SubbandSet,
+    default_cutoffs,
+    dwt_analysis,
+    dwt_synthesis,
+    estimate_sigma,
+    get_filter_bank,
+    project_epigraph_l1,
+    pyramid_analysis,
+    pyramid_synthesis,
+    select_levels,
+    soft_threshold,
+)
+from pes_denoise.denoise import DenoiseConfig, clamp_depth
 from pes_denoise.transforms import _kernel_spectrum
 
 
@@ -67,3 +81,25 @@ def cone_projection(band: np.ndarray) -> tuple[np.ndarray, float, int]:
     z = [math.fsum(mu[:j]) / (j + 1) for j in range(mu.shape[0] + 1)]
     rho = max(j for j in range(mu.shape[0] + 1) if j == 0 or mu[j - 1] > z[j])
     return np.sign(band) * np.maximum(mag - z[rho], 0.0), z[rho], rho
+
+
+def denoise_reference(row: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
+    """denoise(row, cfg) for one signal, as the paper's three steps in
+    public names: decompose at cfg.levels or at the spectrum depth clamped
+    to the method's deepest, shrink each band by its epigraph projection
+    (or one baseline threshold from the finest band's sigma-hat), and
+    reconstruct."""
+    n = row.shape[-1]
+    levels = cfg.levels or clamp_depth(select_levels(row), cfg, n)
+    if cfg.method == "pes-pyramid":
+        pyramid = pyramid_analysis(row, default_cutoffs(levels))
+        return pyramid_synthesis(pyramid, [project_epigraph_l1(high).w_p for high in pyramid.highs])
+    bank = get_filter_bank(cfg.bank)
+    bands = dwt_analysis(row, bank, levels)
+    if cfg.method == "pes-wavelet":
+        details = [project_epigraph_l1(band).w_p for band in bands.details]
+    else:
+        sigma = estimate_sigma(bands.details[0])
+        threshold = sigma * (math.sqrt(2.0 * np.log(n)) if cfg.method == "universal" else 3.0)
+        details = [soft_threshold(band, threshold) for band in bands.details]
+    return dwt_synthesis(SubbandSet(bands.lowband, details), bank)

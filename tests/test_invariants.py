@@ -10,15 +10,25 @@ At an explicit depth two more hold up to rounding: scaling by any
 factor, and a circular shift, by any amount for the pyramid and by a
 multiple of 2^L for an L-level periodic DWT, which commutes with such a
 shift band by band.
+
+Power-of-two scaling holds up to the size bound, max|x| below 2^1020/n,
+where every method gives finite outputs; from the bound on, denoise and
+select_levels refuse the samples.
+
+Last, denoise is the paper's pipeline: every row of a batch is bit for
+bit oracles.denoise_reference, its three steps in public names.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from oracles import denoise_reference
 
 from pes_denoise._workspace import _local
 from pes_denoise.denoise import METHODS, DenoiseConfig, denoise
 from pes_denoise.signals import SIGNAL_NAMES, NoiseSpec, add_gaussian_noise, generate_test_signal
+from pes_denoise.spectrum import select_levels
 from pes_denoise.transforms import BANK_NAMES
 
 # Each row is a noisy test signal, all zeros or a constant.
@@ -197,3 +207,78 @@ def test_scaling_scales_the_output(method, bank, levels, n, kinds, seed, c):
     x = _input(kinds, n, seed)
     cfg = DenoiseConfig(method=method, bank=bank, levels=levels)
     assert _close(denoise(c * x, cfg), c * denoise(x, cfg), 1e-13)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    method=st.sampled_from(METHODS),
+    bank=st.sampled_from(BANK_NAMES),
+    levels=st.sampled_from([None, 1, 2]),
+    n=st.sampled_from([32, 256, 1000, 1001, 4096]),
+    signal=st.sampled_from(SIGNAL_NAMES),
+    kinds=st.lists(st.sampled_from(_ROW_KINDS), max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(method="pes-pyramid", bank="db4", levels=None, n=1024, signal="doppler", kinds=[], seed=0)
+def test_power_of_two_scaling_holds_up_to_the_size_bound(method, bank, levels, n, signal, kinds, seed):
+    n -= n % 2 if method != "pes-pyramid" else 0
+    x = _rows([signal, *kinds], n, seed)
+    cfg = DenoiseConfig(method=method, bank=bank, levels=levels)
+    # k is the largest power of two that keeps max|2^k x| below 2^1020/n.
+    bound, peak = 2.0**1020 / n, np.max(np.abs(x))
+    k = int(np.log2(bound / peak)) + 1
+    while peak * 2.0**k >= bound:
+        k -= 1
+    big = denoise(2.0**k * x, cfg)
+    assert np.isfinite(big).all()
+    assert _same_bits(big, 2.0**k * denoise(x, cfg))
+    assert np.array_equal(select_levels(2.0**k * x), select_levels(x))
+    # Refused before any arithmetic could overflow.
+    with np.errstate(all="raise"):
+        for refuse in (lambda y: denoise(y, cfg), select_levels):
+            with pytest.raises(ValueError, match="samples too large"):
+                refuse(2.0 ** (k + 1) * x)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("n", [256, 1000])
+def test_the_size_bound_is_max_abs_x_below_2_to_the_1020_over_n(method, n):
+    bound = 2.0**1020 / n
+    x = _rows(["doppler"], n, 1)[0] * (bound / 16)
+    x[5] = -np.nextafter(bound, 0.0)
+    assert np.isfinite(denoise(x, DenoiseConfig(method))).all()
+    select_levels(x)
+    x[5] = -bound
+    for refuse in (lambda y: denoise(y, DenoiseConfig(method)), select_levels):
+        with pytest.raises(ValueError, match=r"samples too large: max\|x\| = .* must stay below 2\^1020/n"):
+            refuse(x)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    method=st.sampled_from(METHODS),
+    bank=st.sampled_from(BANK_NAMES),
+    levels=st.sampled_from([None, 1, 2, 3]),
+    n=st.sampled_from([256, 1000, 1001, 4096]),
+    kinds=st.lists(st.sampled_from(_ROW_KINDS), min_size=1, max_size=40),
+    seed=st.integers(0, 2**32 - 1),
+)
+# Automatic depth over mixed rows gives several depth groups.  At
+# n = 4096 a DWT row block holds 16 rows and a pyramid block 2 to 16, so
+# 40 rows span several blocks.
+@example(
+    method="pes-pyramid", bank="db4", levels=None, n=4096, seed=5,
+    kinds=["zeros", "doppler", "constant", "bumps", "blocks", "cusp", "heavy-sine", "piece-regular"] * 5,
+)
+@example(
+    method="universal", bank="farras", levels=2, n=4096, seed=6,
+    kinds=["blocks", "zeros", "doppler", "constant"] * 10,
+)
+@example(method="three-sigma", bank="haar", levels=None, n=1000, seed=7, kinds=["zeros", "constant", "bumps"])
+@example(method="pes-wavelet", bank="db4", levels=None, n=256, seed=8, kinds=list(_ROW_KINDS) * 5)
+def test_denoise_is_the_public_pipeline(method, bank, levels, n, kinds, seed):
+    # A DWT halves every level, so its methods take the even length below n.
+    n -= n % 2 if method != "pes-pyramid" else 0
+    x = _rows(kinds, n, seed)
+    cfg = DenoiseConfig(method=method, bank=bank, levels=levels)
+    assert _same_bits(denoise(x, cfg), np.stack([denoise_reference(row, cfg) for row in x]))

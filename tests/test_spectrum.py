@@ -1,6 +1,7 @@
 """Spectral bandwidth estimate and decomposition-depth selection."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -84,8 +85,9 @@ def test_select_levels_refuses_complex_input():
 
 
 def test_select_levels_refuses_an_overflowing_spectrum():
-    # Finite samples whose rfft overflows: the spectrum's own check refuses them.
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="half spectrum"):
+    # Finite samples whose rfft would overflow are refused by their size,
+    # before the FFT.
+    with np.errstate(all="raise"), pytest.raises(ValueError, match="samples too large"):
         select_levels(np.full(256, 1e307))
 
 
@@ -196,6 +198,22 @@ def test_estimate_bandwidth_scale_invariant():
     b = estimate_bandwidth(7.25 * mag)
     assert b.omega0 == a.omega0 and b.levels == a.levels
     assert abs(b.noise_floor - 7.25 * a.noise_floor) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "call, shape",
+    [
+        (select_levels, (0, 64)),
+        (estimate_bandwidth, (0, 40)),
+        (magnitude_spectrum, ()),
+        (select_levels, ()),
+        (estimate_bandwidth, ()),
+        (magnitude_spectrum, (2, 0, 64)),
+    ],
+)
+def test_empty_and_0d_input_is_refused_by_its_shape(call, shape):
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        call(np.full(shape, 3.0))
 
 
 def test_estimate_bandwidth_validation():
