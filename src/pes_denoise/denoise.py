@@ -68,17 +68,33 @@ def estimate_sigma(finest_detail: np.ndarray) -> float | np.ndarray:
 
 def clamp_depth(levels: int | np.ndarray, cfg: DenoiseConfig, n: int) -> int | np.ndarray:
     """The depth cfg's method runs at length n when the spectrum asks for
-    levels: at most the deepest decomposition the method allows there,
-    feasible_levels at the bank's taps for the DWT methods and
-    pyramid_max_levels for the pyramid."""
-    return np.minimum(levels, _deepest(cfg.method, get_filter_bank(cfg.bank), n))
+    levels: levels, lowered to the deepest depth the method runs at n, or
+    0 where it runs at none (a DWT method at an odd n).  A DWT runs depth
+    L when 2^L divides n and n/2^(L-1) is at least the bank's filter
+    length (feasible_levels), the pyramid when 2^(L+1) <= n."""
+    return np.minimum(levels, _deepest(cfg.method, get_filter_bank(cfg.bank), n, MAX_LEVELS))
 
 
-def _deepest(method: str, bank: FilterBank, n: int) -> int:
-    """The deepest decomposition method allows at length n, with bank its filter bank."""
+def _deepest(method: str, bank: FilterBank, n: int, levels: int) -> int:
+    """The deepest depth up to levels that method runs at length n, with bank
+    its filter bank, or 0 when there is none: feasible_levels at the bank's
+    taps for a DWT, and the largest L with 2^(L+1) <= n for the pyramid."""
     if method == "pes-pyramid":
-        return pyramid_max_levels(n)
-    return feasible_levels(n, MAX_LEVELS, bank.taps)
+        return min(levels, pyramid_max_levels(n))
+    return feasible_levels(n, levels, bank.taps)
+
+
+def _checked_depth(cfg: DenoiseConfig, bank: FilterBank, n: int) -> int:
+    """The depth cfg runs at length n with bank, its filter bank: cfg.levels
+    when set, else the deepest one that the spectrum's depths are clamped
+    to.  Raises ValueError when the method runs at no depth there, or at
+    none as deep as cfg.levels."""
+    deepest = _deepest(cfg.method, bank, n, cfg.levels or MAX_LEVELS)
+    if deepest == 0:
+        raise ValueError(f"{cfg.method} needs an even signal length, got n={n}")
+    if cfg.levels is not None and deepest < cfg.levels:
+        raise ValueError(f"{cfg.method} runs at most {deepest} levels at n={n}, got levels={cfg.levels}")
+    return deepest
 
 
 def _wavelet_analysis(rows: np.ndarray, levels: int, bank: FilterBank):
@@ -141,28 +157,22 @@ _METHODS = {
 METHODS = tuple(_METHODS)
 
 
-def _check_length(method: str, n: int) -> None:
-    """Raise ValueError unless method runs on signals of length n: a DWT
-    halves the length at every level, so it needs an even n."""
-    if n % 2 and _METHODS[method][0] is _wavelet_analysis:
-        raise ValueError(f"{method} needs an even signal length, got n={n}")
-
-
 def denoise(x: np.ndarray, cfg: DenoiseConfig, spectrum_levels=None) -> np.ndarray:
     """Denoise x along its last axis with the method cfg names.
 
     x is one signal of shape (n,) or a batch of shape (T, n), with
-    n >= 16 (and even for the DWT methods) and every sample real, finite
-    and below 2^1020/n in magnitude.  Each row is denoised on its own,
-    with its own depth and (for the baselines) its own sigma-hat; the
-    output has x's shape.
+    n >= 16 and every sample real, finite and below 2^1020/n in
+    magnitude.  Each row is denoised on its own, with its own depth and
+    (for the baselines) its own sigma-hat; the output has x's shape.
 
     The depth is cfg.levels when set, else each row's spectrum depth,
     clamped by clamp_depth.  spectrum_levels, when given, are those
     depths as select_levels(x) returns them (an int for 1-D x, a (T,)
     integer array for a batch), so that callers running several methods
     on one x select them once; without it, denoise selects them itself.
-    For pes-pyramid an explicit cfg.levels must satisfy 2^(levels+1) <= n.
+    Before reading a sample it refuses an n the method runs at no depth
+    (an odd n, for a DWT) and a cfg.levels deeper than it runs at n: see
+    clamp_depth, whose rule ExperimentSpec checks too.
     """
     x = _as_real(x)
     if x.ndim not in (1, 2):
@@ -170,7 +180,8 @@ def denoise(x: np.ndarray, cfg: DenoiseConfig, spectrum_levels=None) -> np.ndarr
     n = x.shape[-1]
     if n < 16:
         raise ValueError(f"need at least 16 samples along the last axis, got {n}")
-    _check_length(cfg.method, n)
+    bank = get_filter_bank(cfg.bank)
+    deepest = _checked_depth(cfg, bank, n)
     if x.shape[0] == 0:
         raise ValueError("cannot denoise a batch with no rows")
     peak = np.maximum.reduce(np.abs(x), axis=None)
@@ -186,13 +197,12 @@ def denoise(x: np.ndarray, cfg: DenoiseConfig, spectrum_levels=None) -> np.ndarr
             raise ValueError(f"spectrum_levels must lie in [1, {MAX_LEVELS}], got {spectrum_levels!r}")
         spectrum_levels = given.reshape(-1)
     analysis, shrink, synthesis = _METHODS[cfg.method]
-    bank = get_filter_bank(cfg.bank)
     if cfg.levels is not None:
-        depths = np.asarray(cfg.levels).repeat(rows.shape[0])  # np.full, without its wrapper
+        depths = np.asarray(deepest).repeat(rows.shape[0])  # np.full, without its wrapper
     else:
         if spectrum_levels is None:
             spectrum_levels = select_levels(rows)
-        depths = np.minimum(spectrum_levels, _deepest(cfg.method, bank, n))
+        depths = np.minimum(spectrum_levels, deepest)
     # Rows of depth L run in blocks of BLOCK_ELEMENTS band values, so that no method's temporaries
     # grow with a call's rows (see _workspace): a DWT row's bands hold n, the pyramid's L*n.
     groups = sorted(set(depths.tolist()))

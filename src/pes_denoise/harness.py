@@ -20,9 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .denoise import DenoiseConfig, _check_length, denoise
+from .denoise import DenoiseConfig, _checked_depth, denoise
 from .signals import NoiseSpec, _add_noise, _generator, _unit_noise, generate_test_signal, snr_db
 from .spectrum import _is_integer, select_levels
+from .transforms import get_filter_bank
 
 DEFAULT_SIGNALS = ("blocks", "heavy-sine", "doppler", "bumps", "piece-regular", "cusp")
 DEFAULT_FRACTIONS = (0.10, 0.20, 0.30)
@@ -60,7 +61,7 @@ class ExperimentSpec:
         for fraction in self.noise_fractions:
             NoiseSpec(fraction)  # raises ValueError unless the fraction is in (0, 1]
         for cfg in self.methods:
-            _check_length(cfg.method, self.n)
+            _checked_depth(cfg, get_filter_bank(cfg.bank), self.n)  # refuses what its cells would
         labels = [cfg.method for cfg in self.methods]
         shared = sorted({label for label in labels if labels.count(label) > 1})
         if shared:

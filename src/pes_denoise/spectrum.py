@@ -18,12 +18,12 @@ from numbers import Integral
 
 import numpy as np
 
-from .transforms import _as_real
+from .transforms import _as_real, default_cutoffs
 
 ALPHA = 3.0
 SMOOTH_WINDOW = 9
 MAX_LEVELS = 6
-_CUTOFFS = math.pi / 2.0 ** np.arange(1, MAX_LEVELS + 1)  # pi/2^L, L = 1..MAX_LEVELS
+_CUTOFFS = np.array(default_cutoffs(MAX_LEVELS))  # pi/2^L, L = 1..MAX_LEVELS
 _KERNEL = np.ones(SMOOTH_WINDOW) / SMOOTH_WINDOW  # _smooth's moving average
 # Length-n samples are refused from max|x| >= _MAX_MASS / n: below it no rfft
 # bin (at most n*max|x|) and no band's l1 mass (about 2n*max|x|) overflows.
@@ -93,11 +93,6 @@ def _smooth(mag: np.ndarray) -> np.ndarray:
     return np.array([np.convolve(row, _KERNEL, mode="valid") for row in padded])
 
 
-def _depth(omega0: float | np.ndarray) -> np.ndarray:
-    """How many cutoffs pi/2^L, L = 1..MAX_LEVELS, lie strictly above omega0; at least 1."""
-    return np.maximum(1, np.count_nonzero(_CUTOFFS > np.expand_dims(omega0, -1), axis=-1))
-
-
 @functools.lru_cache(maxsize=64)
 def _by_crossing(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """omega0, depth and degenerate flag of an m-bin half spectrum for each
@@ -105,8 +100,10 @@ def _by_crossing(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     once per length, since a handful of ufuncs per call dominates at T=1."""
     crossing = np.arange(m + 1)
     omega0 = np.where(crossing >= m - 1, math.pi, math.pi * np.maximum(crossing, 1) / (m - 1))
-    levels = np.where(crossing == 0, MAX_LEVELS, _depth(omega0))
-    return omega0, levels, (crossing == 0) | (math.pi / 2.0**levels <= omega0)
+    # The depth is how many cutoffs lie strictly above omega0, and at least 1.
+    depth = np.maximum(1, np.count_nonzero(_CUTOFFS > omega0[:, None], axis=-1))
+    levels = np.where(crossing == 0, MAX_LEVELS, depth)
+    return omega0, levels, (crossing == 0) | (_CUTOFFS[levels - 1] <= omega0)
 
 
 def _crossings(mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -114,15 +111,14 @@ def _crossings(mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     or (T, m), as (T,) arrays: the crossing is one past the last bin whose
     smoothed magnitude clears ALPHA times the floor, 0 when none does.
 
-    These are estimate_bandwidth's checks on the spectrum it is given;
-    magnitude_spectrum's size bound keeps select_levels's spectra finite.
+    It checks the shape, which select_levels of 3-D input relies on, not
+    the values: estimate_bandwidth checks that the spectrum it is given is
+    finite, and magnitude_spectrum's size bound keeps select_levels's so.
     """
     if mag.ndim not in (1, 2) or mag.size == 0:
         raise ValueError(
             f"expected a nonempty half spectrum of shape (m,) or (T, m), got shape {mag.shape}"
         )
-    if not np.logical_and.reduce(np.isfinite(mag), axis=None):
-        raise ValueError("half spectrum contains NaN or infinite values")
     smoothed = _smooth(mag[None] if mag.ndim == 1 else mag)
     m = smoothed.shape[-1]
     noise_floor = row_median(smoothed[:, (3 * m) // 4:])
@@ -139,6 +135,8 @@ def estimate_bandwidth(mag: np.ndarray) -> BandwidthEstimate:
     1; both are flagged degenerate, as is any depth not above omega0.
     """
     mag = _as_real(mag)
+    if not np.logical_and.reduce(np.isfinite(mag), axis=None):
+        raise ValueError("half spectrum contains NaN or infinite values")
     noise_floor, crossing = _crossings(mag)
     omega0, levels, degenerate = (table[crossing] for table in _by_crossing(mag.shape[-1]))
     fields = (omega0, noise_floor, levels, degenerate)

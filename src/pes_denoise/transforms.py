@@ -113,23 +113,11 @@ class SubbandSet:
     details: list[np.ndarray]  # finest first; each (..., band length)
 
 
-def _levels_error(n: int, levels: int, taps: int) -> str | None:
-    if levels < 1:
-        return f"levels must be >= 1, got {levels}"
-    if n % (1 << levels) != 0:
-        return f"length {n} is not divisible by 2^{levels}"
-    if n // (1 << (levels - 1)) < taps:
-        return (
-            f"too many levels: stage {levels} would see {n // (1 << (levels - 1))} "
-            f"samples, shorter than the {taps}-tap filters"
-        )
-    return None
-
-
 def feasible_levels(n: int, levels: int, taps: int) -> int:
-    """The largest depth <= levels that a length-n DWT with taps-long filters
-    accepts, 0 when none does: 2^depth must divide n (n & -n is the largest
-    power of 2 that does), and stage depth must see taps samples or more."""
+    """The DWT rule: the largest depth L <= levels that a length-n DWT with
+    taps-long filters runs at, 0 when there is none.  2^L must divide n
+    (n & -n is the largest power of 2 that does) and stage L must see
+    n/2^(L-1) >= taps samples, so every depth below a feasible one is."""
     return min(levels, (n & -n).bit_length() - 1, (n // taps).bit_length())
 
 
@@ -170,9 +158,12 @@ def _idwt_step(a: np.ndarray, d: np.ndarray, lo: np.ndarray, hi: np.ndarray):
 def dwt_analysis(x: np.ndarray, bank: FilterBank, levels: int) -> SubbandSet:
     x = _as_real(x)
     n = x.shape[-1]
-    error = _levels_error(n, levels, bank.taps)
-    if error is not None:
-        raise ValueError(error)
+    taps = bank.taps
+    if levels < 1 or feasible_levels(n, levels, taps) < levels:
+        raise ValueError(
+            f"a length-{n} DWT with {taps}-tap filters runs depths L with 2^L dividing n and "
+            f"n/2^(L-1) >= {taps}, at most {feasible_levels(n, n, taps)} here; got levels={levels}"
+        )
     lo, hi = bank.analysis_lo, bank.analysis_hi
     current = x / math.sqrt(n)
     details: list[np.ndarray] = []
@@ -233,7 +224,7 @@ class PyramidSet:
 
 def default_cutoffs(levels: int) -> list[float]:
     """Octave cutoffs pi/2, pi/4, ..., pi/2^levels."""
-    return [np.pi / (1 << k) for k in range(1, levels + 1)]
+    return (np.pi / 2.0 ** np.arange(1, levels + 1)).tolist()
 
 
 def pyramid_max_levels(n: int) -> int:

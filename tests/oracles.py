@@ -83,6 +83,20 @@ def cone_projection(band: np.ndarray) -> tuple[np.ndarray, float, int]:
     return np.sign(band) * np.maximum(mag - z[rho], 0.0), z[rho], rho
 
 
+def depth_allowed(method: str, taps: int, n: int, levels: int) -> bool:
+    """Whether method runs at depth levels on length-n signals, by the rule
+    as stated: a DWT with taps-long filters needs 2^levels to divide n and
+    n/2^(levels-1) >= taps, and the octave pyramid needs 2^(levels+1) <= n."""
+    if method == "pes-pyramid":
+        return 2 ** (levels + 1) <= n
+    return n % 2**levels == 0 and n >= taps * 2 ** (levels - 1)
+
+
+def deepest_allowed(method: str, taps: int, n: int) -> int:
+    """The deepest depth depth_allowed admits, 0 when it admits none."""
+    return max([L for L in range(1, n.bit_length() + 1) if depth_allowed(method, taps, n, L)], default=0)
+
+
 def denoise_reference(row: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
     """denoise(row, cfg) for one signal, as the paper's three steps in
     public names: decompose at cfg.levels or at the spectrum depth clamped

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from pes_denoise import harness
 from pes_denoise.cli import _OPTIONS, _VERBS, build_parser, main
 from pes_denoise.harness import DEFAULT_METHODS
 
@@ -216,8 +217,12 @@ def test_default_experiment_runs_the_library_methods_in_order(capsys):
     assert [row.split(",")[2] for row in rows] == [cfg.method for cfg in DEFAULT_METHODS]
 
 
-def test_experiment_failure_exit_code(tmp_path, capsys):
-    # A depth the length does not allow is a runtime failure of the cell.
+def test_experiment_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # A cell that fails at run time is reported, and the exit code is 1.
+    def failing_denoise(x, cfg, spectrum_levels=None):
+        raise FloatingPointError("overflow in the cell")
+
+    monkeypatch.setattr(harness, "denoise", failing_denoise)
     rc = run(
         [
             "experiment",
@@ -225,14 +230,21 @@ def test_experiment_failure_exit_code(tmp_path, capsys):
             "--noise", "0.2",
             "--method", "pes-wavelet",
             "--trials", "1",
-            "--levels", "10",
             "--n", "512",
             "--out", str(tmp_path / "x"),
         ]
     )
     assert rc == 1
     err = capsys.readouterr().err
-    assert "error:" in err and "not divisible by 2^10" in err
+    assert "error:" in err and "cusp/0.2: FloatingPointError: overflow in the cell" in err
+
+
+def test_experiment_rejects_a_depth_the_length_does_not_allow(tmp_path, capsys):
+    # Refused when the spec is built, with denoise's message: no header-only report.
+    argv = ["experiment", "--signal", "cusp", "--noise", "0.2", "--method", "pes-wavelet", "--trials", "1"]
+    assert run(argv + ["--levels", "10", "--n", "512", "--out", str(tmp_path / "x")]) == 2
+    assert "error: pes-wavelet runs at most 8 levels at n=512, got levels=10" in capsys.readouterr().err
+    assert not (tmp_path / "x" / "report.csv").exists()
 
 
 def test_experiment_rejects_an_unknown_bank(tmp_path, capsys):

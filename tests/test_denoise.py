@@ -3,13 +3,15 @@
 import math
 import sys
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from pes_denoise.denoise import METHODS, DenoiseConfig, denoise, estimate_sigma
+from pes_denoise.denoise import METHODS, DenoiseConfig, clamp_depth, denoise, estimate_sigma
+from pes_denoise.harness import ExperimentSpec
 from pes_denoise.projections import soft_threshold
 from pes_denoise.signals import (
     SIGNAL_NAMES,
@@ -18,8 +20,10 @@ from pes_denoise.signals import (
     generate_test_signal,
     snr_db,
 )
-from pes_denoise.spectrum import select_levels
+from pes_denoise.spectrum import MAX_LEVELS, select_levels
 from pes_denoise.transforms import BANK_NAMES, dwt_analysis, dwt_synthesis, get_filter_bank
+
+from oracles import deepest_allowed, depth_allowed
 
 
 def test_estimate_sigma_basics():
@@ -234,7 +238,7 @@ def test_automatic_depth_is_clamped_to_a_feasible_dwt(method):
     out = denoise(y, DenoiseConfig(method=method))
     assert np.array_equal(out, denoise(y, DenoiseConfig(method=method, levels=3)))
     assert snr_db(clean, out) > snr_db(clean, y)
-    with pytest.raises(ValueError, match="not divisible"):
+    with pytest.raises(ValueError, match=f"^{method} runs at most 3 levels at n=1000, got levels=5$"):
         denoise(y, DenoiseConfig(method=method, levels=5))
 
 
@@ -244,7 +248,7 @@ def test_shortest_signal_gets_a_feasible_depth(method):
     y = add_gaussian_noise(generate_test_signal("doppler", 16), NoiseSpec(0.2, seed=9))
     out = denoise(y, DenoiseConfig(method=method))
     assert out.shape == (16,) and np.all(np.isfinite(out))
-    with pytest.raises(ValueError, match="too many levels"):
+    with pytest.raises(ValueError, match=f"^{method} runs at most 3 levels at n=16, got levels=4$"):
         denoise(y, DenoiseConfig(method=method, levels=4))
 
 
@@ -252,7 +256,7 @@ def test_explicit_pyramid_depth_must_span_a_dft_bin():
     # 2^(L+1) <= n: at n=1024 an octave pyramid has at most 9 stages.
     y = add_gaussian_noise(generate_test_signal("heavy-sine", 1024), NoiseSpec(0.2, seed=10))
     assert denoise(y, DenoiseConfig(method="pes-pyramid", levels=9)).shape == (1024,)
-    with pytest.raises(ValueError, match="at most 9 stages"):
+    with pytest.raises(ValueError, match="^pes-pyramid runs at most 9 levels at n=1024, got levels=12$"):
         denoise(y, DenoiseConfig(method="pes-pyramid", levels=12))
 
 
@@ -262,8 +266,52 @@ def test_automatic_pyramid_depth_is_clamped():
     assert select_levels(y) == 6
     out = denoise(y, DenoiseConfig(method="pes-pyramid"))
     assert np.array_equal(out, denoise(y, DenoiseConfig(method="pes-pyramid", levels=3)))
-    with pytest.raises(ValueError, match="at most 3 stages"):
+    with pytest.raises(ValueError, match="^pes-pyramid runs at most 3 levels at n=16, got levels=4$"):
         denoise(y, DenoiseConfig(method="pes-pyramid", levels=4))
+
+
+# Any length, and multiples of 64 and powers of 2, where the DWT runs deep.
+_LENGTHS = st.one_of(
+    st.integers(16, 4096), st.integers(1, 64).map(lambda j: 64 * j), st.integers(4, 12).map(lambda k: 1 << k)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    method=st.sampled_from(METHODS),
+    bank=st.sampled_from(BANK_NAMES),
+    n=_LENGTHS,
+    levels=st.integers(1, 12),
+)
+@example(method="pes-wavelet", bank="db4", n=512, levels=10)
+@example(method="pes-wavelet", bank="farras", n=80, levels=4)  # stage 4 sees 10 samples, the taps
+@example(method="three-sigma", bank="farras", n=64, levels=4)  # stage 4 sees 8
+@example(method="pes-pyramid", bank="db4", n=1024, levels=10)
+@example(method="pes-pyramid", bank="db4", n=1023, levels=8)
+def test_one_depth_rule_for_denoise_experiments_and_the_clamp(method, bank, n, levels):
+    # The rule as stated (tests/oracles.py): denoise runs an explicit depth, and
+    # ExperimentSpec accepts it, exactly where the rule allows it; both refuse
+    # the rest with one message; and the automatic depth is clamped to the
+    # deepest the rule allows, 0 where it allows none.
+    cfg = DenoiseConfig(method=method, bank=bank, levels=levels)
+    taps = get_filter_bank(bank).taps
+    x = np.random.default_rng(n).normal(size=n)
+    spec = partial(ExperimentSpec, signals=("bumps",), noise_fractions=(0.2,), trials=1, n=n)
+    if depth_allowed(method, taps, n, levels):
+        assert denoise(x, cfg).shape == (n,)
+        spec(methods=(cfg,))
+    else:
+        with pytest.raises(ValueError) as refused:
+            denoise(x, cfg)
+        with pytest.raises(ValueError) as refused_by_spec:
+            spec(methods=(cfg,))
+        assert str(refused_by_spec.value) == str(refused.value)
+    deepest = deepest_allowed(method, taps, n)
+    for L in range(1, MAX_LEVELS + 1):
+        assert clamp_depth(L, cfg, n) == min(L, deepest)
+    if deepest == 0:
+        with pytest.raises(ValueError, match=f"^{method} needs an even signal length, got n={n}$"):
+            spec(methods=(replace(cfg, levels=None),))
 
 
 # ---------------------------------------------------------------------------

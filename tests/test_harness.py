@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pes_denoise import harness
-from pes_denoise.denoise import DenoiseConfig
+from pes_denoise.denoise import DenoiseConfig, denoise
 from pes_denoise.harness import (
     CSV_HEADER,
     ExperimentReport,
@@ -216,20 +216,36 @@ def test_summarize_excludes_infinite_sentinels():
     assert mean == math.inf and std == 0.0 and excluded == 2
 
 
-def test_cell_errors_are_recorded_not_raised():
-    # A depth the length does not allow fails only when the cell runs.
+def test_cell_errors_are_recorded_not_raised(monkeypatch):
+    # A cell whose run fails is reported, not raised.
     spec = ExperimentSpec(
         signals=("blocks",),
         noise_fractions=(0.2,),
         trials=2,
-        methods=(DenoiseConfig(method="pes-wavelet", levels=10),),
+        methods=(DenoiseConfig(method="pes-wavelet"),),
         n=512,
     )
+
+    def failing_denoise(x, cfg, spectrum_levels=None):
+        raise FloatingPointError("overflow in the cell")
+
+    monkeypatch.setattr(harness, "denoise", failing_denoise)
     report = run_experiment(spec)
     assert report.rows == ()
     assert len(report.errors) == 1
     assert report.errors[0].startswith("blocks/0.2:")
-    assert "not divisible by 2^10" in report.errors[0]
+    assert report.errors[0].endswith(": FloatingPointError: overflow in the cell")
+
+
+def test_spec_refuses_a_depth_its_length_does_not_allow():
+    # Every cell would fail, so the spec is refused with denoise's message.
+    cfg = DenoiseConfig(method="pes-wavelet", levels=10)
+    with pytest.raises(ValueError) as refused:
+        ExperimentSpec(methods=(cfg,), n=512)
+    with pytest.raises(ValueError) as denoised:
+        denoise(generate_test_signal("blocks", 512), cfg)
+    assert str(refused.value) == str(denoised.value)
+    assert str(refused.value) == "pes-wavelet runs at most 8 levels at n=512, got levels=10"
 
 
 def test_emit_csv_shapes():

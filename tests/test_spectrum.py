@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from pes_denoise.signals import SIGNAL_NAMES, NoiseSpec, add_gaussian_noise, generate_test_signal
 from pes_denoise.spectrum import (
     MAX_LEVELS,
-    _depth,
+    _by_crossing,
     estimate_bandwidth,
     magnitude_spectrum,
     row_median,
@@ -121,26 +121,28 @@ def test_select_levels_is_the_estimates_depth(seed, kinds, n, batch):
 
 
 def test_depth_hand_cases():
-    assert _depth(58 * math.pi / 512) == 3  # pi/8 > omega0 >= pi/16
-    assert _depth(math.pi / 4) == 1  # strict: pi/4 is NOT > pi/4
-    assert _depth(1e-3) == 6  # capped at MAX_LEVELS
+    # m = 513 bins: crossing c reads omega0 = c*pi/512.
+    levels = _by_crossing(513)[1]
+    assert levels[58] == 3  # pi/8 > omega0 >= pi/16
+    assert levels[128] == 1  # strict: pi/4 is NOT > pi/4
+    assert levels[1] == 6  # capped at MAX_LEVELS
 
 
-def _at_every_cutoff_edge(test):
-    """Each pi/2^k, past the deepest level too, and the floats either side."""
-    for k in range(1, MAX_LEVELS + 3):
-        cutoff = math.pi / 2**k
-        for omega0 in (np.nextafter(cutoff, 0.0), cutoff, np.nextafter(cutoff, math.pi)):
-            test = example(omega0=float(omega0))(test)
-    return test
-
-
-@settings(max_examples=300, deadline=None)
-@given(omega0=st.floats(0.0, math.pi, exclude_min=True, exclude_max=True))
-@_at_every_cutoff_edge
-def test_depth_matches_brute_force(omega0):
-    brute = max([L for L in range(1, 7) if math.pi / 2**L > omega0], default=1)
-    assert _depth(omega0) == brute
+# With m - 1 = 2^k * j, each cutoff pi/2^L with L <= k lies exactly on bin
+# (m - 1)/2^L, between two neighbours in the table.
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(9, 2999))
+@example(m=17)  # pi/32 and pi/64 lie below the first bin, pi/16
+@example(m=193)
+@example(m=513)
+@example(m=2049)
+def test_depth_matches_brute_force(m):
+    omega0, levels, degenerate = _by_crossing(m)
+    for crossing in range(m + 1):
+        w = omega0[crossing]
+        brute = max([L for L in range(1, 7) if math.pi / 2**L > w], default=1)
+        assert levels[crossing] == (MAX_LEVELS if crossing == 0 else brute)
+        assert degenerate[crossing] == (crossing == 0 or math.pi / 2 ** levels[crossing] <= w)
 
 
 def _half_spectrum(rng: np.random.Generator, kind: str, m: int) -> np.ndarray:

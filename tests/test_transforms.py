@@ -17,7 +17,6 @@ from pes_denoise.transforms import (
     BANK_NAMES,
     SubbandSet,
     _design_lowpass,
-    _levels_error,
     _qmf_highpass,
     default_cutoffs,
     dwt_analysis,
@@ -29,7 +28,7 @@ from pes_denoise.transforms import (
     pyramid_synthesis,
 )
 
-from oracles import lowpass_filter
+from oracles import depth_allowed, lowpass_filter
 
 ALL_BANKS = [get_filter_bank(name) for name in BANK_NAMES]
 
@@ -117,12 +116,18 @@ def test_level_validation():
 
 
 def test_feasible_levels_is_the_deepest_depth_dwt_analysis_accepts():
-    for taps in (2, 4, 10):
+    # Both against the rule as stated, in tests/oracles.py.
+    for bank in ALL_BANKS:
         for n in range(1, 300):
-            accepted = [L for L in range(1, 10) if _levels_error(n, L, taps) is None]
+            allowed = [L for L in range(1, 10) if depth_allowed("pes-wavelet", bank.taps, n, L)]
             for levels in range(1, 10):
-                want = max((L for L in accepted if L <= levels), default=0)
-                assert feasible_levels(n, levels, taps) == want, (n, levels, taps)
+                want = max((L for L in allowed if L <= levels), default=0)
+                assert feasible_levels(n, levels, bank.taps) == want, (n, levels, bank.name)
+                if levels in allowed:
+                    dwt_analysis(np.ones(n), bank, levels)
+                else:
+                    with pytest.raises(ValueError, match=f"at most {allowed[-1] if allowed else 0} here"):
+                        dwt_analysis(np.ones(n), bank, levels)
 
 
 def test_analyses_refuse_complex_input():
@@ -358,5 +363,5 @@ def test_pyramid_depth_must_span_a_dft_bin():
 
 
 def test_default_cutoffs_are_octaves():
-    assert np.allclose(default_cutoffs(3), [np.pi / 2, np.pi / 4, np.pi / 8])
+    assert default_cutoffs(3) == [np.pi / 2, np.pi / 4, np.pi / 8]  # exact: powers of 2
 
