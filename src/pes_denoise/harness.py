@@ -2,15 +2,25 @@
 
 Every method in a cell (signal x noise fraction) sees the same noisy
 instances, seeded as base_seed + trial, so method comparisons are
-paired.  A cell stacks its trials as the rows of one (trials, n) matrix,
-row t seeded base_seed + t, and denoises it with one call per method,
-so a report is deterministic for a given seed.
+paired and a report is deterministic for a given seed.
 
-Each piece of work is done once: the unit noise is drawn once per
-experiment and scaled for each cell (row t is bit for bit
-add_gaussian_noise(clean, NoiseSpec(fraction, base_seed + t))), and each
-cell's depths come from one select_levels call, which every method given
-no explicit depth then clamps on its own.
+The table runs in blocks of whole cells, in spec order: as many cells
+as fit their trials * n samples in BLOCK_ELEMENTS, and at least one.
+A block stacks its cells' trials as the rows of one matrix, cell by
+cell, row t of a cell seeded base_seed + t, and every piece of work is
+done once per block:
+- the unit noise is drawn once per experiment, and one broadcast
+  expression scales it for every cell of the block (each row is bit for
+  bit add_gaussian_noise(clean, NoiseSpec(fraction, base_seed + t)));
+- one select_levels call gives the rows' depths, which every method
+  given no explicit depth then clamps on its own; a spec whose methods
+  all have explicit depths makes no such call;
+- one denoise call per method, whose output becomes its cells' SNRs
+  before the next method runs; one mean and one stddev reduction over
+  the block then summarise each method's cells.
+Each row is denoised as it would be on its own, so the report is the
+same for any blocking.  Rows and errors are per cell: a block that
+raises reports each of its cells.
 """
 
 from __future__ import annotations
@@ -20,8 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._workspace import BLOCK_ELEMENTS
 from .denoise import DenoiseConfig, _checked_depth, denoise
-from .signals import NoiseSpec, _add_noise, _generator, _unit_noise, generate_test_signal, snr_db
+from .signals import NoiseSpec, _generator, _noise_sigma, _unit_noise, generate_test_signal, snr_db
 from .spectrum import _is_integer, select_levels
 from .transforms import get_filter_bank
 
@@ -100,35 +111,58 @@ def _summarize(values) -> tuple[float, float, int]:
     return float(np.mean(finite)), float(np.std(finite)), excluded
 
 
+def _cell_snrs(cleans: list[np.ndarray], rows: np.ndarray, trials: int) -> np.ndarray:
+    """(cells, trials): snr_db of rows[c * trials : (c + 1) * trials] against cleans[c]."""
+    return np.stack([snr_db(clean, rows[c * trials : (c + 1) * trials]) for c, clean in enumerate(cleans)])
+
+
+def _cell_summaries(snrs: np.ndarray) -> list[tuple[float, float, int]]:
+    """_summarize of each cell's row of snrs: one mean and one stddev over
+    every cell when no row holds a +inf sentinel."""
+    if not np.isfinite(snrs).all():
+        return [_summarize(cell) for cell in snrs]
+    means, stds = np.mean(snrs, axis=1).tolist(), np.std(snrs, axis=1).tolist()
+    return [(mean, std, 0) for mean, std in zip(means, stds)]
+
+
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     rows: list[ReportRow] = []
     errors: list[str] = []
-    unit = np.stack([_unit_noise(spec.base_seed + trial, spec.n) for trial in range(spec.trials)])
+    n, trials = spec.n, spec.trials
+    unit = np.stack([_unit_noise(spec.base_seed + trial, n) for trial in range(trials)])
+    signals = {name: generate_test_signal(name, n) for name in spec.signals}
+    cells = [(name, fraction) for name in spec.signals for fraction in spec.noise_fractions]
+    per_block = max(1, BLOCK_ELEMENTS // (trials * n))
+    spectrum = any(cfg.levels is None for cfg in spec.methods)
 
-    for signal_name in spec.signals:
-        clean = generate_test_signal(signal_name, spec.n)
-        for fraction in spec.noise_fractions:
-            try:
-                noisy = _add_noise(clean, fraction, unit)
-                input_snrs = snr_db(clean, noisy)
-                depths = select_levels(noisy)
-                outputs = [snr_db(clean, denoise(noisy, cfg, depths)) for cfg in spec.methods]
-            except Exception as exc:  # noqa: BLE001 - cell aborts, error is reported
-                errors.append(f"{signal_name}/{fraction:g}: {type(exc).__name__}: {exc}")
-                continue
+    for start in range(0, len(cells), per_block):
+        block = cells[start : start + per_block]
+        cleans = [signals[name] for name, _ in block]
+        try:
+            sigmas = np.array([_noise_sigma(signals[name], fraction) for name, fraction in block])
+            noisy = (np.stack(cleans)[:, None] + sigmas[:, None, None] * unit).reshape(-1, n)
+            input_snrs = _cell_snrs(cleans, noisy, trials)
+            depths = select_levels(noisy) if spectrum else None
+            # Each output lives only until its SNRs are taken.
+            outputs = [_cell_snrs(cleans, denoise(noisy, cfg, depths), trials) for cfg in spec.methods]
+        except Exception as exc:  # noqa: BLE001 - the block aborts, each cell's error is reported
+            errors.extend(f"{name}/{fraction:g}: {type(exc).__name__}: {exc}" for name, fraction in block)
+            continue
 
-            input_mean = float(np.mean(input_snrs))
-            for cfg, snrs in zip(spec.methods, outputs):
-                mean_out, std_out, excluded = _summarize(snrs)
+        input_means = np.mean(input_snrs, axis=1).tolist()
+        summaries = [_cell_summaries(snrs) for snrs in outputs]
+        for c, (name, fraction) in enumerate(block):
+            for cfg, summary in zip(spec.methods, summaries):
+                mean_out, std_out, excluded = summary[c]
                 rows.append(
                     ReportRow(
-                        signal=signal_name,
+                        signal=name,
                         fraction=fraction,
                         method=cfg.method,
-                        mean_input_snr_db=input_mean,
+                        mean_input_snr_db=input_means[c],
                         mean_output_snr_db=mean_out,
                         stddev_output_snr_db=std_out,
-                        trials=spec.trials,
+                        trials=trials,
                         excluded=excluded,
                     )
                 )

@@ -156,26 +156,15 @@ def _unit_noise(seed: int, n: int) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal(n)
 
 
-def _add_noise(v: np.ndarray, amplitude_fraction: float, unit: np.ndarray) -> np.ndarray:
-    """v + _noise_sigma(v, amplitude_fraction) * unit, elementwise.
-
-    unit is one (n,) draw of _unit_noise or a (T, n) stack of them; each
-    row of the result is then bit for bit the add_gaussian_noise output
-    for that row's seed.
-    """
-    v = np.asarray(v, dtype=float)
-    if not np.any(v):
-        raise ValueError("cannot scale noise to an all-zero signal")
-    return v + _noise_sigma(v, amplitude_fraction) * unit
-
-
 def add_gaussian_noise(v: np.ndarray, spec: NoiseSpec) -> np.ndarray:
     """Corrupt v with i.i.d. zero-mean Gaussian noise: v + sigma * z, with
     sigma = spec.amplitude_fraction times v's positive peak max(v) (its
     absolute peak when max(v) <= 0) and z the standard normal samples
     (PCG64 ziggurat) that spec.seed draws."""
     v = _as_real(v)
-    return _add_noise(v, spec.amplitude_fraction, _unit_noise(spec.seed, v.shape[0]))
+    if not np.any(v):
+        raise ValueError("cannot scale noise to an all-zero signal")
+    return v + _noise_sigma(v, spec.amplitude_fraction) * _unit_noise(spec.seed, v.shape[0])
 
 
 def snr_db(reference: np.ndarray, estimate: np.ndarray) -> float | np.ndarray:

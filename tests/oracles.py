@@ -21,7 +21,9 @@ from pes_denoise import (
     select_levels,
     soft_threshold,
 )
-from pes_denoise.denoise import DenoiseConfig, clamp_depth
+from pes_denoise.denoise import DenoiseConfig, clamp_depth, denoise
+from pes_denoise.harness import ExperimentSpec, ReportRow
+from pes_denoise.signals import NoiseSpec, add_gaussian_noise, generate_test_signal, snr_db
 from pes_denoise.transforms import _kernel_spectrum
 
 
@@ -117,3 +119,25 @@ def denoise_reference(row: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
         threshold = sigma * (math.sqrt(2.0 * np.log(n)) if cfg.method == "universal" else 3.0)
         details = [soft_threshold(band, threshold) for band in bands.details]
     return dwt_synthesis(SubbandSet(bands.lowband, details), bank)
+
+
+def run_experiment_reference(spec: ExperimentSpec) -> tuple[ReportRow, ...]:
+    """run_experiment(spec).rows with each cell run alone, in public names:
+    the noisy trials from add_gaussian_noise at seeds base_seed + t, their
+    depths from one select_levels call, one denoise call per method, and
+    the mean and population stddev of the finite output SNRs."""
+    rows = []
+    seeds = range(spec.base_seed, spec.base_seed + spec.trials)
+    for signal in spec.signals:
+        clean = generate_test_signal(signal, spec.n)
+        for fraction in spec.noise_fractions:
+            noisy = np.stack([add_gaussian_noise(clean, NoiseSpec(fraction, seed)) for seed in seeds])
+            input_mean = float(np.mean(snr_db(clean, noisy)))
+            depths = select_levels(noisy)
+            for cfg in spec.methods:
+                snrs = snr_db(clean, denoise(noisy, cfg, depths))
+                finite = snrs[np.isfinite(snrs)]
+                summary = (float(np.mean(finite)), float(np.std(finite))) if finite.size else (math.inf, 0.0)
+                excluded = snrs.size - finite.size
+                rows.append(ReportRow(signal, fraction, cfg.method, input_mean, *summary, len(snrs), excluded))
+    return tuple(rows)

@@ -4,14 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from oracles import run_experiment_reference
 
-from pes_denoise import harness
-from pes_denoise.denoise import DenoiseConfig, denoise
+from pes_denoise import harness, select_levels
+from pes_denoise._workspace import BLOCK_ELEMENTS
+from pes_denoise.denoise import METHODS, DenoiseConfig, denoise
 from pes_denoise.harness import (
     CSV_HEADER,
+    DEFAULT_FRACTIONS,
+    DEFAULT_SIGNALS,
     ExperimentReport,
     ExperimentSpec,
     ReportRow,
+    _cell_summaries,
     _summarize,
     emit_csv,
     emit_spectrum_csv,
@@ -94,22 +101,9 @@ def test_rows_are_ordered_and_labeled():
     assert report.rows[0].mean_input_snr_db == report.rows[1].mean_input_snr_db
 
 
-def test_cells_share_one_noise_draw_and_one_depth_plan(monkeypatch):
-    # The unit noise is drawn once per experiment and each cell's depths are
-    # selected once, for every method; neither may change a noisy row.
-    spec = ExperimentSpec(
-        signals=("heavy-sine", "bumps"),
-        noise_fractions=(0.1, 0.3),
-        trials=4,
-        methods=(
-            DenoiseConfig(method="pes-pyramid"),
-            DenoiseConfig(method="universal", levels=3),
-            DenoiseConfig(method="three-sigma"),
-            DenoiseConfig(method="pes-wavelet", bank="haar"),
-        ),
-        base_seed=7,
-        n=256,
-    )
+def _recording(monkeypatch):
+    """Record harness.denoise's (x, cfg, spectrum_levels) and harness.select_levels's
+    results, in call order, while both still run."""
     seen, plans = [], []
     denoise, select_levels = harness.denoise, harness.select_levels
 
@@ -123,18 +117,129 @@ def test_cells_share_one_noise_draw_and_one_depth_plan(monkeypatch):
 
     monkeypatch.setattr(harness, "denoise", recording_denoise)
     monkeypatch.setattr(harness, "select_levels", recording_select_levels)
+    return seen, plans
+
+
+def test_cells_share_one_noise_draw_and_one_depth_plan(monkeypatch):
+    # A block of whole cells, in spec order, shares one noisy matrix, one depth
+    # plan and one denoise call per method; no row differs from its own draw.
+    methods = (
+        DenoiseConfig(method="pes-pyramid"),
+        DenoiseConfig(method="universal", levels=3),
+        DenoiseConfig(method="three-sigma"),
+        DenoiseConfig(method="pes-wavelet", bank="haar"),
+    )
+    seen, plans = _recording(monkeypatch)
+    # Every cell in one block; blocks of 3 cells and 1; blocks of one cell, each over BLOCK_ELEMENTS.
+    for trials, n in ((4, 256), (40, 512), (70, 1024)):
+        spec = ExperimentSpec(
+            signals=("heavy-sine", "bumps"), noise_fractions=(0.1, 0.3), trials=trials,
+            methods=methods, base_seed=7, n=n,
+        )
+        seen.clear()
+        plans.clear()
+        report = run_experiment(spec)
+        assert not report.errors and len(report.rows) == 4 * 4
+        per_block = max(1, BLOCK_ELEMENTS // (trials * n))
+        cells = [(s, f) for s in spec.signals for f in spec.noise_fractions]
+        blocks = [cells[i : i + per_block] for i in range(0, len(cells), per_block)]
+        assert len(plans) == len(blocks) and len(seen) == len(methods) * len(blocks)
+        for b, block in enumerate(blocks):
+            calls = seen[b * len(methods) : (b + 1) * len(methods)]
+            x = calls[0][0]
+            assert [cfg for _, cfg, _ in calls] == list(methods)
+            assert x.shape == (len(block) * trials, n)
+            assert x.size <= max(BLOCK_ELEMENTS, trials * n)
+            for c, (signal, fraction) in enumerate(block):
+                clean = generate_test_signal(signal, n)
+                for t in range(trials):
+                    expected = add_gaussian_noise(clean, NoiseSpec(fraction, spec.base_seed + t))
+                    assert np.array_equal(x[c * trials + t], expected)
+            assert np.array_equal(plans[b], select_levels(x))
+            for y, _, levels in calls:
+                assert y is x and levels is plans[b]
+
+
+def test_depths_are_selected_once_per_block_and_only_when_a_method_needs_them(monkeypatch):
+    # 6 cells of 40 x 512 samples run in 2 blocks of 3.
+    cells = dict(signals=("heavy-sine", "bumps"), noise_fractions=(0.1, 0.2, 0.3), trials=40, n=512)
+    explicit = (DenoiseConfig(method="pes-wavelet", levels=3), DenoiseConfig(method="universal", levels=3))
+    seen, plans = _recording(monkeypatch)
+    report = run_experiment(ExperimentSpec(methods=explicit, **cells))
+    assert not report.errors and len(report.rows) == 6 * 2
+    assert plans == [] and [levels for _, _, levels in seen] == [None] * 4
+    seen.clear()
+    mixed = explicit + (DenoiseConfig(method="three-sigma"),)
+    report = run_experiment(ExperimentSpec(methods=mixed, **cells))
+    assert not report.errors and len(report.rows) == 6 * 3
+    assert len(plans) == 2
+    assert [levels is plans[i // 3] for i, (_, _, levels) in enumerate(seen)] == [True] * 6
+
+
+_BANKS = ["db4", "haar", "farras"]
+_BLOCK_CASES = dict(
+    signals=st.lists(st.sampled_from(DEFAULT_SIGNALS), min_size=1, max_size=3, unique=True),
+    fractions=st.lists(st.sampled_from(DEFAULT_FRACTIONS), min_size=1, max_size=3, unique=True),
+    trials=st.integers(1, 70),
+    n=st.sampled_from([64, 256, 1024]),
+    methods=st.lists(
+        st.tuples(st.sampled_from(METHODS), st.sampled_from(_BANKS), st.sampled_from([None, 2, 3])),
+        min_size=1, max_size=4, unique_by=lambda m: m[0],
+    ),
+    base_seed=st.integers(0, 1000),
+)
+_ALL_METHODS = [
+    ("pes-pyramid", "db4", None),
+    ("pes-wavelet", "farras", None),
+    ("universal", "haar", 3),
+    ("three-sigma", "db4", 2),
+]
+
+
+# Blocks of one cell (70 x 1024 samples), of 6 cells of 10 x 1024, and of every cell.
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(**_BLOCK_CASES)
+@example(signals=["doppler"], fractions=[0.1, 0.3], trials=70, n=1024, methods=_ALL_METHODS, base_seed=0)
+@example(
+    signals=["blocks", "bumps", "cusp"], fractions=DEFAULT_FRACTIONS, trials=10, n=1024, methods=_ALL_METHODS,
+    base_seed=3,
+)
+@example(signals=["cusp", "blocks"], fractions=[0.2, 0.3], trials=5, n=64, methods=_ALL_METHODS, base_seed=9)
+def test_rows_equal_each_cell_run_alone(signals, fractions, trials, n, methods, base_seed):
+    spec = ExperimentSpec(
+        signals=tuple(signals), noise_fractions=tuple(fractions), trials=trials,
+        methods=tuple(DenoiseConfig(m, bank, levels) for m, bank, levels in methods),
+        base_seed=base_seed, n=n,
+    )
     report = run_experiment(spec)
-    assert not report.errors
-    assert len(seen) == 4 * 4 and len(plans) == 4
+    assert report.errors == ()
+    assert report.rows == run_experiment_reference(spec)
+
+
+def test_a_failing_block_reports_each_of_its_cells(monkeypatch):
+    # 9 cells of 40 x 512 samples run in 3 blocks of 3; only the second one fails.
+    spec = ExperimentSpec(
+        signals=("blocks", "heavy-sine", "bumps"), trials=40, n=512,
+        methods=(DenoiseConfig(method="pes-pyramid"), DenoiseConfig(method="three-sigma")),
+    )
+    clean_run = run_experiment(spec)
+    blocks = []
+
+    def failing_on_the_second_block(x, cfg, spectrum_levels=None):
+        if not blocks or blocks[-1] is not x:
+            blocks.append(x)
+        if len(blocks) == 2:
+            raise FloatingPointError("overflow in the block")
+        return denoise(x, cfg, spectrum_levels)
+
+    monkeypatch.setattr(harness, "denoise", failing_on_the_second_block)
+    report = run_experiment(spec)
+    assert len(blocks) == 3
     cells = [(s, f) for s in spec.signals for f in spec.noise_fractions]
-    for (signal, fraction), calls, plan in zip(cells, np.split(np.arange(len(seen)), 4), plans):
-        clean = generate_test_signal(signal, spec.n)
-        for i in calls:
-            x, cfg, levels = seen[i]
-            for t in range(spec.trials):
-                expected = add_gaussian_noise(clean, NoiseSpec(fraction, spec.base_seed + t))
-                assert np.array_equal(x[t], expected)
-            assert levels is plan and np.array_equal(levels, select_levels(x))
+    failed = cells[3:6]
+    assert report.errors == tuple(f"{s}/{f:g}: FloatingPointError: overflow in the block" for s, f in failed)
+    assert report.rows == tuple(r for r in clean_run.rows if (r.signal, r.fraction) not in failed)
+    assert len(report.rows) == 6 * 2
 
 
 def test_pyramid_beats_input_snr_by_wide_margin():
@@ -214,6 +319,15 @@ def test_summarize_excludes_infinite_sentinels():
     assert mean == 2.0 and std == 1.0 and excluded == 1
     mean, std, excluded = _summarize([math.inf, math.inf])
     assert mean == math.inf and std == 0.0 and excluded == 2
+
+
+def test_cell_summaries_are_each_cells_summary_bit_for_bit():
+    # One reduction over every cell when all SNRs are finite, one _summarize per cell otherwise.
+    snrs = np.random.default_rng(5).normal(12.0, 3.0, size=(6, 37))
+    assert _cell_summaries(snrs) == [_summarize(cell) for cell in snrs]
+    snrs[2, 4] = snrs[5, :] = math.inf
+    assert _cell_summaries(snrs) == [_summarize(cell) for cell in snrs]
+    assert [excluded for _, _, excluded in _cell_summaries(snrs)] == [0, 0, 1, 0, 0, 37]
 
 
 def test_cell_errors_are_recorded_not_raised(monkeypatch):
