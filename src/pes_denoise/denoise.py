@@ -21,7 +21,7 @@ import numpy as np
 
 from ._workspace import BLOCK_ELEMENTS, scratch
 from .projections import _project, soft_threshold
-from .spectrum import _MAX_MASS, MAX_LEVELS, _is_integer, _sample_error, row_median, select_levels
+from .spectrum import MAX_LEVELS, _samples, row_median, select_levels
 from .transforms import (
     DEFAULT_BANK,
     DEFAULT_TAPS,
@@ -29,6 +29,7 @@ from .transforms import (
     SubbandSet,
     _as_real,
     _cascade_spectra,
+    _check_integer,
     _join_pyramid,
     _split_pyramid,
     default_cutoffs,
@@ -50,8 +51,8 @@ class DenoiseConfig:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {', '.join(METHODS)}")
         get_filter_bank(self.bank)  # raises ValueError for an unknown bank
-        if self.levels is not None and (not _is_integer(self.levels) or self.levels < 1):
-            raise ValueError(f"levels must be an integer >= 1, got {self.levels}")
+        if self.levels is not None:
+            _check_integer("levels", self.levels, 1)
 
 
 def estimate_sigma(finest_detail: np.ndarray) -> float | np.ndarray:
@@ -160,33 +161,25 @@ METHODS = tuple(_METHODS)
 def denoise(x: np.ndarray, cfg: DenoiseConfig, spectrum_levels=None) -> np.ndarray:
     """Denoise x along its last axis with the method cfg names.
 
-    x is one signal of shape (n,) or a batch of shape (T, n), with
-    n >= 16 and every sample real, finite and below 2^1020/n in
-    magnitude.  Each row is denoised on its own, with its own depth and
-    (for the baselines) its own sigma-hat; the output has x's shape.
+    x is one signal of shape (n,) or a batch of shape (T, n) that passes
+    the sample rule, _samples: T >= 1, n >= MIN_SAMPLES (16) and every
+    sample real, finite and below 2^1020/n in magnitude.  Each row is
+    denoised on its own, with its own depth and (for the baselines) its
+    own sigma-hat; the output has x's shape.
 
     The depth is cfg.levels when set, else each row's spectrum depth,
     clamped by clamp_depth.  spectrum_levels, when given, are those
     depths as select_levels(x) returns them (an int for 1-D x, a (T,)
     integer array for a batch), so that callers running several methods
     on one x select them once; without it, denoise selects them itself.
-    Before reading a sample it refuses an n the method runs at no depth
-    (an odd n, for a DWT) and a cfg.levels deeper than it runs at n: see
-    clamp_depth, whose rule ExperimentSpec checks too.
+    It refuses an n the method runs at no depth (an odd n, for a DWT) and
+    a cfg.levels deeper than it runs at n: see clamp_depth, whose rule
+    ExperimentSpec checks too.
     """
-    x = _as_real(x)
-    if x.ndim not in (1, 2):
-        raise ValueError(f"expected shape (n,) or (T, n), got {x.ndim}-D input of shape {x.shape}")
+    x = _samples(x)
     n = x.shape[-1]
-    if n < 16:
-        raise ValueError(f"need at least 16 samples along the last axis, got {n}")
     bank = get_filter_bank(cfg.bank)
     deepest = _checked_depth(cfg, bank, n)
-    if x.shape[0] == 0:
-        raise ValueError("cannot denoise a batch with no rows")
-    peak = np.maximum.reduce(np.abs(x), axis=None)
-    if not peak < _MAX_MASS / n:
-        raise _sample_error(peak, n)
     rows = x.reshape(-1, n)
     if spectrum_levels is not None:
         given = np.asarray(spectrum_levels)

@@ -33,8 +33,8 @@ import numpy as np
 from ._workspace import BLOCK_ELEMENTS
 from .denoise import DenoiseConfig, _checked_depth, denoise
 from .signals import NoiseSpec, _generator, _noise_sigma, _unit_noise, generate_test_signal, snr_db
-from .spectrum import _is_integer, select_levels
-from .transforms import get_filter_bank
+from .spectrum import MIN_SAMPLES, select_levels
+from .transforms import _check_integer, get_filter_bank
 
 DEFAULT_SIGNALS = ("blocks", "heavy-sine", "doppler", "bumps", "piece-regular", "cusp")
 DEFAULT_FRACTIONS = (0.10, 0.20, 0.30)
@@ -58,29 +58,32 @@ class ExperimentSpec:
     n: int = 1024
 
     def __post_init__(self) -> None:
-        if not _is_integer(self.trials) or self.trials < 1:
-            raise ValueError(f"trials must be an integer >= 1, got {self.trials}")
-        if not _is_integer(self.n) or self.n < 16:
-            raise ValueError(f"n must be an integer >= 16, got {self.n}")
-        if not _is_integer(self.base_seed) or self.base_seed < 0:
-            raise ValueError(f"base_seed must be a nonnegative integer, got {self.base_seed}")
+        _check_integer("trials", self.trials, 1)
+        _check_integer("n", self.n, MIN_SAMPLES)
+        _check_integer("base_seed", self.base_seed, 0)
         for name in ("signals", "noise_fractions", "methods"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
-        for name in self.signals:
-            _generator(name)  # raises ValueError for an unknown signal
         for fraction in self.noise_fractions:
             NoiseSpec(fraction)  # raises ValueError unless the fraction is in (0, 1]
         for cfg in self.methods:
-            _checked_depth(cfg, get_filter_bank(cfg.bank), self.n)  # refuses what its cells would
+            # Refuses what its cells would; the depth rule takes a Python int.
+            _checked_depth(cfg, get_filter_bank(cfg.bank), int(self.n))
+        # Report rows are keyed by signal, fraction and method label, so a repeat
+        # would run a cell twice, weighting it twice in grand_means, or average two
+        # configurations together.  Names of one generator, such as blocks and
+        # Blocks, are one signal.
         labels = [cfg.method for cfg in self.methods]
-        shared = sorted({label for label in labels if labels.count(label) > 1})
-        if shared:
-            # Report rows are keyed by method label; two configurations
-            # under one label would be indistinguishable and averaged together.
-            raise ValueError(
-                f"each method may appear once per experiment; repeated: {', '.join(shared)}"
-            )
+        for noun, values, keys in (
+            ("signal", self.signals, [_generator(name) for name in self.signals]),  # refuses unknown
+            ("noise fraction", self.noise_fractions, self.noise_fractions),
+            ("method", labels, labels),
+        ):
+            repeated = sorted({str(value) for value, key in zip(values, keys) if keys.count(key) > 1})
+            if repeated:
+                raise ValueError(
+                    f"each {noun} may appear once per experiment; repeated: {', '.join(repeated)}"
+                )
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import _is_integer
-from .transforms import _as_real
+from .spectrum import MIN_SAMPLES, _samples
+from .transforms import _as_real, _check_integer
 
 _BREAKPOINTS = [0.1, 0.13, 0.15, 0.23, 0.25, 0.4, 0.44, 0.65, 0.76, 0.78, 0.81]
 _BLOCK_STEPS = [4, -5, 3, -4, 5, -4.2, 2.1, 4.3, -3.1, 2.1, -4.2]
@@ -120,8 +120,7 @@ def _generator(name: str):
 
 def generate_test_signal(name: str, n: int) -> np.ndarray:
     """Return the named test signal at length n (deterministic)."""
-    if not _is_integer(n) or n < 16:
-        raise ValueError(f"signal length must be an integer >= 16, got {n}")
+    _check_integer("n", n, MIN_SAMPLES)
     return _generator(name)(n)
 
 
@@ -135,8 +134,7 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if isinstance(self.amplitude_fraction, bool) or not 0.0 < self.amplitude_fraction <= 1.0:
             raise ValueError(f"noise fraction must be in (0, 1], got {self.amplitude_fraction}")
-        if not _is_integer(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
+        _check_integer("seed", self.seed, 0)
 
 
 def _noise_sigma(v: np.ndarray, amplitude_fraction: float) -> float:
@@ -160,8 +158,11 @@ def add_gaussian_noise(v: np.ndarray, spec: NoiseSpec) -> np.ndarray:
     """Corrupt v with i.i.d. zero-mean Gaussian noise: v + sigma * z, with
     sigma = spec.amplitude_fraction times v's positive peak max(v) (its
     absolute peak when max(v) <= 0) and z the standard normal samples
-    (PCG64 ziggurat) that spec.seed draws."""
-    v = _as_real(v)
+    (PCG64 ziggurat) that spec.seed draws.  v is one signal (n,) that
+    passes the sample rule, _samples."""
+    v = _samples(v)
+    if v.ndim != 1:
+        raise ValueError(f"expected one signal (n,), got shape {v.shape}")
     if not np.any(v):
         raise ValueError("cannot scale noise to an all-zero signal")
     return v + _noise_sigma(v, spec.amplitude_fraction) * _unit_noise(spec.seed, v.shape[0])

@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
@@ -25,6 +24,7 @@ SMOOTH_WINDOW = 9
 MAX_LEVELS = 6
 _CUTOFFS = np.array(default_cutoffs(MAX_LEVELS))  # pi/2^L, L = 1..MAX_LEVELS
 _KERNEL = np.ones(SMOOTH_WINDOW) / SMOOTH_WINDOW  # _smooth's moving average
+MIN_SAMPLES = 16  # the shortest signal, whose finest DWT band holds estimate_sigma's 8 values
 # Length-n samples are refused from max|x| >= _MAX_MASS / n: below it no rfft
 # bin (at most n*max|x|) and no band's l1 mass (about 2n*max|x|) overflows.
 _MAX_MASS = 2.0**1020
@@ -40,33 +40,33 @@ class BandwidthEstimate:
     degenerate: bool | np.ndarray = False
 
 
-def _is_integer(value) -> bool:
-    """Whether value is an integer: a bool is not one."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
-
-
-def _sample_error(peak: float, n: int) -> ValueError:
-    """The error for length-n samples of largest magnitude peak, which is
-    NaN, infinite or at least _MAX_MASS / n."""
-    if not math.isfinite(peak):
-        return ValueError("input contains NaN or infinite samples")
-    return ValueError(
-        f"samples too large: max|x| = {peak:.6g} must stay below 2^1020/n = {_MAX_MASS / n:.6g} "
-        f"at n = {n}, or the spectrum and the band sums could overflow"
-    )
+def _samples(x) -> np.ndarray:
+    """The sample rule: x as a float array if it is real, one signal (n,) or a
+    batch (T, n) with T >= 1 and n >= MIN_SAMPLES, and every sample is finite
+    and below 2^1020/n in magnitude; ValueError otherwise."""
+    x = _as_real(x)
+    if x.ndim not in (1, 2) or x.size == 0 or x.shape[-1] < MIN_SAMPLES:
+        raise ValueError(
+            f"expected one signal (n,) or a batch (T, n) with T >= 1 and n >= {MIN_SAMPLES}, "
+            f"got shape {x.shape}"
+        )
+    n = x.shape[-1]
+    peak, bound = np.maximum.reduce(np.abs(x), axis=None), _MAX_MASS / n
+    if not peak < bound:
+        if not math.isfinite(peak):
+            raise ValueError("input contains NaN or infinite samples")
+        raise ValueError(
+            f"samples too large: max|x| = {peak:.6g} must stay below 2^1020/n = {bound:.6g} "
+            f"at n = {n}, or the spectrum and the band sums could overflow"
+        )
+    return x
 
 
 def magnitude_spectrum(x: np.ndarray) -> np.ndarray:
-    """|DFT| at bins 0..N/2 along the last axis (real-input half spectrum);
-    bin k <-> 2*pi*k/N.  NaN, infinite and too large samples (max|x| at
-    least 2^1020/N) are refused."""
-    x = _as_real(x)
-    if x.ndim == 0 or x.shape[-1] < 16 or x.size == 0:
-        raise ValueError(f"need one or more signals of at least 16 samples, got shape {x.shape}")
-    peak = np.maximum.reduce(np.abs(x), axis=None)
-    if not peak < _MAX_MASS / x.shape[-1]:
-        raise _sample_error(peak, x.shape[-1])
-    return np.abs(np.fft.rfft(x, axis=-1))
+    """|DFT| at bins 0..N/2 along the last axis (real-input half spectrum)
+    of one signal (N,) or a batch (T, N); bin k <-> 2*pi*k/N.  x must
+    pass the sample rule, _samples."""
+    return np.abs(np.fft.rfft(_samples(x), axis=-1))
 
 
 def row_median(a: np.ndarray) -> np.ndarray:
@@ -111,9 +111,9 @@ def _crossings(mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     or (T, m), as (T,) arrays: the crossing is one past the last bin whose
     smoothed magnitude clears ALPHA times the floor, 0 when none does.
 
-    It checks the shape, which select_levels of 3-D input relies on, not
-    the values: estimate_bandwidth checks that the spectrum it is given is
-    finite, and magnitude_spectrum's size bound keeps select_levels's so.
+    It checks the shape of estimate_bandwidth's spectrum, not its values,
+    which estimate_bandwidth checks; select_levels's samples passed
+    _samples, whose size bound keeps their spectrum finite.
     """
     if mag.ndim not in (1, 2) or mag.size == 0:
         raise ValueError(
@@ -146,7 +146,8 @@ def estimate_bandwidth(mag: np.ndarray) -> BandwidthEstimate:
 def select_levels(x: np.ndarray) -> int | np.ndarray:
     """Decomposition depth for a (noisy) signal, straight from its spectrum:
     an int for a 1-D signal, an int array with one per row for a (T, n) array.
-    It is estimate_bandwidth(magnitude_spectrum(x)).levels."""
+    It is estimate_bandwidth(magnitude_spectrum(x)).levels, so x must pass
+    the sample rule, _samples."""
     mag = magnitude_spectrum(x)
     levels = _by_crossing(mag.shape[-1])[1][_crossings(mag)[1]]
     return levels.item() if mag.ndim == 1 else levels

@@ -52,6 +52,14 @@ def _as_real(x) -> np.ndarray:
     return x.astype(float, copy=False)
 
 
+def _check_integer(name: str, value, least: int) -> None:
+    """ValueError unless value is an integer >= least: an int or a numpy
+    integer, not a bool.  numbers.Integral's ABC check would add two
+    Python-level calls to each dwt_analysis."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def _qmf_highpass(lo: np.ndarray) -> np.ndarray:
     """Quadrature-mirror highpass: hi[k] = (-1)^k * lo[M-1-k]."""
     m = lo.shape[0]
@@ -159,7 +167,8 @@ def dwt_analysis(x: np.ndarray, bank: FilterBank, levels: int) -> SubbandSet:
     x = _as_real(x)
     n = x.shape[-1]
     taps = bank.taps
-    if levels < 1 or feasible_levels(n, levels, taps) < levels:
+    _check_integer("levels", levels, 1)
+    if feasible_levels(n, levels, taps) < levels:
         raise ValueError(
             f"a length-{n} DWT with {taps}-tap filters runs depths L with 2^L dividing n and "
             f"n/2^(L-1) >= {taps}, at most {feasible_levels(n, n, taps)} here; got levels={levels}"

@@ -258,7 +258,7 @@ def test_experiment_rejects_a_negative_seed(capsys):
     # Refused when the spec is built, not once per cell at run time.
     argv = ["experiment", "--signal", "cusp", "--noise", "0.2", "--trials", "1", "--n", "256"]
     assert run(argv + ["--seed", "-1"]) == 2
-    assert "base_seed must be a nonnegative integer" in capsys.readouterr().err
+    assert "base_seed must be an integer >= 0, got -1" in capsys.readouterr().err
 
 
 def test_experiment_with_nothing_it_can_run_is_refused(tmp_path, capsys):

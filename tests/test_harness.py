@@ -44,7 +44,7 @@ def test_spec_validation():
         ExperimentSpec(noise_fractions=(0.2, 1.5))
     with pytest.raises(ValueError, match="noise fraction must be in"):
         ExperimentSpec(noise_fractions=(True,))
-    with pytest.raises(ValueError, match="base_seed must be a nonnegative integer"):
+    with pytest.raises(ValueError, match="base_seed must be an integer >= 0"):
         ExperimentSpec(base_seed=-1)
     # Counts must be integers (a bool is not one), refused before any run starts.
     for trials in (2.5, True):
@@ -53,7 +53,7 @@ def test_spec_validation():
     for n in (1000.0, 8, True):
         with pytest.raises(ValueError, match="n must be an integer >= 16"):
             ExperimentSpec(n=n)
-    with pytest.raises(ValueError, match="base_seed must be a nonnegative integer"):
+    with pytest.raises(ValueError, match="base_seed must be an integer >= 0"):
         ExperimentSpec(base_seed=1.5)
 
 

@@ -34,7 +34,7 @@ def test_name_normalization_and_validation():
     with pytest.raises(ValueError):
         generate_test_signal("blocks", 8)
     for n in (20.5, 64.0, True):
-        with pytest.raises(ValueError, match="signal length must be an integer"):
+        with pytest.raises(ValueError, match="n must be an integer >= 16"):
             generate_test_signal("blocks", n)
 
 
@@ -83,7 +83,7 @@ def test_noise_spec_validation():
         NoiseSpec(amplitude_fraction=0.2, seed=-1)
     # A bool is neither a fraction nor a seed, though it compares as 0 or 1.
     for seed in (1.5, True, np.float64(2.0)):
-        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             NoiseSpec(amplitude_fraction=0.2, seed=seed)
     with pytest.raises(ValueError, match="noise fraction must be in"):
         NoiseSpec(amplitude_fraction=True)
