@@ -158,7 +158,7 @@ _METHODS = {
 METHODS = tuple(_METHODS)
 
 
-def denoise(x: np.ndarray, cfg: DenoiseConfig, spectrum_levels=None) -> np.ndarray:
+def denoise(x: np.ndarray, cfg: DenoiseConfig, *, _spectrum_levels=None) -> np.ndarray:
     """Denoise x along its last axis with the method cfg names.
 
     x is one signal of shape (n,) or a batch of shape (T, n) that passes
@@ -167,35 +167,24 @@ def denoise(x: np.ndarray, cfg: DenoiseConfig, spectrum_levels=None) -> np.ndarr
     denoised on its own, with its own depth and (for the baselines) its
     own sigma-hat; the output has x's shape.
 
-    The depth is cfg.levels when set, else each row's spectrum depth,
-    clamped by clamp_depth.  spectrum_levels, when given, are those
-    depths as select_levels(x) returns them (an int for 1-D x, a (T,)
-    integer array for a batch), so that callers running several methods
-    on one x select them once; without it, denoise selects them itself.
-    It refuses an n the method runs at no depth (an odd n, for a DWT) and
-    a cfg.levels deeper than it runs at n: see clamp_depth, whose rule
-    ExperimentSpec checks too.
+    The depth is cfg.levels when set, the only depth a caller gives, else
+    each row's spectrum depth, clamped by clamp_depth.  It refuses an n
+    the method runs at no depth (an odd n, for a DWT) and a cfg.levels
+    deeper than it runs at n: see clamp_depth, whose rule ExperimentSpec
+    checks too.
     """
     x = _samples(x)
     n = x.shape[-1]
     bank = get_filter_bank(cfg.bank)
     deepest = _checked_depth(cfg, bank, n)
     rows = x.reshape(-1, n)
-    if spectrum_levels is not None:
-        given = np.asarray(spectrum_levels)
-        expected = "an integer" if x.ndim == 1 else f"an integer array of shape {x.shape[:-1]}"
-        if given.shape != x.shape[:-1] or given.dtype.kind not in "iu":
-            raise ValueError(f"spectrum_levels must be {expected}, got {spectrum_levels!r}")
-        if not np.logical_and.reduce((given >= 1) & (given <= MAX_LEVELS), axis=None):
-            raise ValueError(f"spectrum_levels must lie in [1, {MAX_LEVELS}], got {spectrum_levels!r}")
-        spectrum_levels = given.reshape(-1)
     analysis, shrink, synthesis = _METHODS[cfg.method]
     if cfg.levels is not None:
         depths = np.asarray(deepest).repeat(rows.shape[0])  # np.full, without its wrapper
     else:
-        if spectrum_levels is None:
-            spectrum_levels = select_levels(rows)
-        depths = np.minimum(spectrum_levels, deepest)
+        # The harness passes its block's select_levels output, unchecked; ROADMAP item 3 removes it.
+        spectrum = select_levels(rows) if _spectrum_levels is None else _spectrum_levels
+        depths = np.minimum(spectrum, deepest)
     # Rows of depth L run in blocks of BLOCK_ELEMENTS band values, so that no method's temporaries
     # grow with a call's rows (see _workspace): a DWT row's bands hold n, the pyramid's L*n.
     groups = sorted(set(depths.tolist()))

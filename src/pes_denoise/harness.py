@@ -12,9 +12,10 @@ done once per block:
 - the unit noise is drawn once per experiment, and one broadcast
   expression scales it for every cell of the block (each row is bit for
   bit add_gaussian_noise(clean, NoiseSpec(fraction, base_seed + t)));
-- one select_levels call gives the rows' depths, which every method
-  given no explicit depth then clamps on its own; a spec whose methods
-  all have explicit depths makes no such call;
+- one select_levels call gives the rows' depths, which reach denoise by
+  its private keyword and which every method given no explicit depth
+  then clamps on its own; a spec whose methods all have explicit depths
+  makes no such call;
 - one denoise call per method, whose output becomes its cells' SNRs
   before the next method runs; one mean and one stddev reduction over
   the block then summarise each method's cells.
@@ -147,7 +148,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
             input_snrs = _cell_snrs(cleans, noisy, trials)
             depths = select_levels(noisy) if spectrum else None
             # Each output lives only until its SNRs are taken.
-            outputs = [_cell_snrs(cleans, denoise(noisy, cfg, depths), trials) for cfg in spec.methods]
+            outputs = [_cell_snrs(cleans, denoise(noisy, cfg, _spectrum_levels=depths), trials)
+                       for cfg in spec.methods]
         except Exception as exc:  # noqa: BLE001 - the block aborts, each cell's error is reported
             errors.extend(f"{name}/{fraction:g}: {type(exc).__name__}: {exc}" for name, fraction in block)
             continue

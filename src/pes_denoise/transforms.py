@@ -121,12 +121,17 @@ class SubbandSet:
     details: list[np.ndarray]  # finest first; each (..., band length)
 
 
+@functools.lru_cache(maxsize=64, typed=True)
 def feasible_levels(n: int, levels: int, taps: int) -> int:
     """The DWT rule: the largest depth L <= levels that a length-n DWT with
     taps-long filters runs at, 0 when there is none.  2^L must divide n
     (n & -n is the largest power of 2 that does) and stage L must see
-    n/2^(L-1) >= taps samples, so every depth below a feasible one is."""
-    return min(levels, (n & -n).bit_length() - 1, (n // taps).bit_length())
+    n/2^(L-1) >= taps samples, so every depth below a feasible one is.
+    Memoised, so a warm call costs no Python-level call; typed keeps True off 1's entry."""
+    _check_integer("n", n, 1)
+    _check_integer("levels", levels, 1)
+    n = int(n)
+    return min(int(levels), (n & -n).bit_length() - 1, (n // taps).bit_length())
 
 
 @functools.lru_cache(maxsize=64)
@@ -233,13 +238,17 @@ class PyramidSet:
 
 def default_cutoffs(levels: int) -> list[float]:
     """Octave cutoffs pi/2, pi/4, ..., pi/2^levels."""
+    _check_integer("levels", levels, 1)
     return (np.pi / 2.0 ** np.arange(1, levels + 1)).tolist()
 
 
+@functools.lru_cache(maxsize=64, typed=True)
 def pyramid_max_levels(n: int) -> int:
-    """The deepest octave pyramid at length n: the largest L with
-    2^(L+1) <= n, so that the last cutoff pi/2^L spans a DFT bin."""
-    return n.bit_length() - 2
+    """The pyramid rule, memoised like feasible_levels: the deepest octave
+    pyramid at length n, the largest L with 2^(L+1) <= n, so that the last
+    cutoff pi/2^L spans a DFT bin."""
+    _check_integer("n", n, 1)
+    return int(n).bit_length() - 2
 
 
 @functools.lru_cache(maxsize=64)

@@ -123,9 +123,10 @@ def denoise_reference(row: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
 
 def run_experiment_reference(spec: ExperimentSpec) -> tuple[ReportRow, ...]:
     """run_experiment(spec).rows with each cell run alone, in public names:
-    the noisy trials from add_gaussian_noise at seeds base_seed + t, their
-    depths from one select_levels call, one denoise call per method, and
-    the mean and population stddev of the finite output SNRs."""
+    the noisy trials from add_gaussian_noise at seeds base_seed + t, one
+    public denoise(noisy, cfg) call per method, which selects the depths
+    itself, and the mean and population stddev of the finite output
+    SNRs."""
     rows = []
     seeds = range(spec.base_seed, spec.base_seed + spec.trials)
     for signal in spec.signals:
@@ -133,9 +134,8 @@ def run_experiment_reference(spec: ExperimentSpec) -> tuple[ReportRow, ...]:
         for fraction in spec.noise_fractions:
             noisy = np.stack([add_gaussian_noise(clean, NoiseSpec(fraction, seed)) for seed in seeds])
             input_mean = float(np.mean(snr_db(clean, noisy)))
-            depths = select_levels(noisy)
             for cfg in spec.methods:
-                snrs = snr_db(clean, denoise(noisy, cfg, depths))
+                snrs = snr_db(clean, denoise(noisy, cfg))
                 finite = snrs[np.isfinite(snrs)]
                 summary = (float(np.mean(finite)), float(np.std(finite))) if finite.size else (math.inf, 0.0)
                 excluded = snrs.size - finite.size

@@ -6,8 +6,9 @@ batch (T, n) with T >= 1 and n >= 16 whose samples are finite and below
 it, and add_gaussian_noise runs it and then takes only one signal.  The
 integer rule (transforms._check_integer) refuses a count or seed that is
 not an int or numpy integer (a bool is not one) or is below its least
-value, with one message.  ExperimentSpec refuses a repeated signal, noise
-fraction or method.
+value, with one message; the depth helpers (default_cutoffs,
+pyramid_max_levels, feasible_levels) run it too.  ExperimentSpec refuses a
+repeated signal, noise fraction or method.
 """
 
 import math
@@ -18,11 +19,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pes_denoise.denoise import METHODS, DenoiseConfig, denoise
+from pes_denoise.denoise import METHODS, DenoiseConfig, clamp_depth, denoise
 from pes_denoise.harness import ExperimentSpec, run_experiment
 from pes_denoise.signals import NoiseSpec, add_gaussian_noise, generate_test_signal
 from pes_denoise.spectrum import magnitude_spectrum, select_levels
-from pes_denoise.transforms import dwt_analysis, get_filter_bank
+from pes_denoise.transforms import (
+    default_cutoffs,
+    dwt_analysis,
+    feasible_levels,
+    get_filter_bank,
+    pyramid_max_levels,
+)
 
 _KINDS = ("plain", "nan", "inf", "-inf", "at the bound", "under the bound")
 
@@ -123,17 +130,22 @@ _INTEGERS = {
     "NoiseSpec.seed": ("seed", 0, lambda v: NoiseSpec(0.2, seed=v)),
     "generate_test_signal.n": ("n", 16, lambda v: generate_test_signal("blocks", v)),
     "dwt_analysis.levels": ("levels", 1, _dwt),
+    "default_cutoffs.levels": ("levels", 1, default_cutoffs),
+    "pyramid_max_levels.n": ("n", 1, pyramid_max_levels),
+    "feasible_levels.n": ("n", 1, lambda v: feasible_levels(v, 6, 4)),
+    "feasible_levels.levels": ("levels", 1, lambda v: feasible_levels(1024, v, 4)),
+    "clamp_depth.n": ("n", 1, lambda v: clamp_depth(6, DenoiseConfig("pes-pyramid"), v)),
 }
 
 
 @pytest.mark.parametrize("field", sorted(_INTEGERS))
 def test_every_integer_is_checked_by_one_rule(field):
     name, least, call = _INTEGERS[field]
+    call(least)  # first, so that a memoised rule cannot hand its result to True or float(least)
     for bad in (2.5, True, least - 1, np.int64(least - 1), float(least)):
         message = f"{name} must be an integer >= {least}, got {bad!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(bad)
-    call(least)
     call(np.int64(least))
 
 

@@ -219,7 +219,7 @@ def test_default_experiment_runs_the_library_methods_in_order(capsys):
 
 def test_experiment_failure_exit_code(tmp_path, capsys, monkeypatch):
     # A cell that fails at run time is reported, and the exit code is 1.
-    def failing_denoise(x, cfg, spectrum_levels=None):
+    def failing_denoise(x, cfg, *, _spectrum_levels=None):
         raise FloatingPointError("overflow in the cell")
 
     monkeypatch.setattr(harness, "denoise", failing_denoise)

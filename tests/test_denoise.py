@@ -353,32 +353,16 @@ def test_batch_rows_equal_single_calls(method, rows, bank):
 
 @pytest.mark.parametrize("method", METHODS)
 def test_given_spectrum_levels_equal_selected_ones(method):
-    # The harness selects each cell's depths once and passes them to every
-    # method; the output must be the one denoise gives when it selects them.
+    # The harness selects each block's depths once and hands them to every
+    # method by the private keyword; the output must be the one denoise
+    # gives when it selects them.  The hand-off is select_levels of the rows.
     x = _batch(_MIXED)
     cfg = DenoiseConfig(method=method)
-    assert np.array_equal(denoise(x, cfg, select_levels(x)), denoise(x, cfg))
-    assert np.array_equal(denoise(x[1], cfg, select_levels(x[1])), denoise(x[1], cfg))
+    assert np.array_equal(denoise(x, cfg, _spectrum_levels=select_levels(x)), denoise(x, cfg))
+    row = denoise(x[1], cfg, _spectrum_levels=select_levels(x[1:2]))
+    assert np.array_equal(row, denoise(x[1], cfg))
     # An explicit depth still wins over the given ones.
     explicit = DenoiseConfig(method=method, levels=2)
-    assert np.array_equal(denoise(x, explicit, np.full(3, 6)), denoise(x, explicit))
+    assert np.array_equal(denoise(x, explicit, _spectrum_levels=np.full(3, 6)), denoise(x, explicit))
 
 
-@pytest.mark.parametrize(
-    "row_levels, batch_levels, match",
-    [
-        (np.array([3]), 3, "must be an integer"),  # wrong shape for each input
-        (3.0, np.array([3.0, 3.0, 3.0]), "must be an integer"),  # not integers
-        (True, np.array([3, 3]), "must be an integer"),  # a bool; too few rows
-        (0, np.array([3, 7, 3]), r"must lie in \[1, 6\]"),
-    ],
-)
-def test_bad_spectrum_levels_are_refused(row_levels, batch_levels, match):
-    x = _batch(_MIXED)
-    for method in METHODS:
-        # Checked even where an explicit depth makes them unused.
-        for cfg in (DenoiseConfig(method=method), DenoiseConfig(method=method, levels=2)):
-            with pytest.raises(ValueError, match=match):
-                denoise(x[0], cfg, row_levels)
-            with pytest.raises(ValueError, match=match):
-                denoise(x, cfg, batch_levels)

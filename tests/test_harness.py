@@ -102,14 +102,14 @@ def test_rows_are_ordered_and_labeled():
 
 
 def _recording(monkeypatch):
-    """Record harness.denoise's (x, cfg, spectrum_levels) and harness.select_levels's
+    """Record harness.denoise's (x, cfg, _spectrum_levels) and harness.select_levels's
     results, in call order, while both still run."""
     seen, plans = [], []
     denoise, select_levels = harness.denoise, harness.select_levels
 
-    def recording_denoise(x, cfg, spectrum_levels=None):
-        seen.append((x, cfg, spectrum_levels))
-        return denoise(x, cfg, spectrum_levels)
+    def recording_denoise(x, cfg, *, _spectrum_levels=None):
+        seen.append((x, cfg, _spectrum_levels))
+        return denoise(x, cfg, _spectrum_levels=_spectrum_levels)
 
     def recording_select_levels(x):
         plans.append(select_levels(x))
@@ -225,12 +225,12 @@ def test_a_failing_block_reports_each_of_its_cells(monkeypatch):
     clean_run = run_experiment(spec)
     blocks = []
 
-    def failing_on_the_second_block(x, cfg, spectrum_levels=None):
+    def failing_on_the_second_block(x, cfg, *, _spectrum_levels=None):
         if not blocks or blocks[-1] is not x:
             blocks.append(x)
         if len(blocks) == 2:
             raise FloatingPointError("overflow in the block")
-        return denoise(x, cfg, spectrum_levels)
+        return denoise(x, cfg, _spectrum_levels=_spectrum_levels)
 
     monkeypatch.setattr(harness, "denoise", failing_on_the_second_block)
     report = run_experiment(spec)
@@ -340,7 +340,7 @@ def test_cell_errors_are_recorded_not_raised(monkeypatch):
         n=512,
     )
 
-    def failing_denoise(x, cfg, spectrum_levels=None):
+    def failing_denoise(x, cfg, *, _spectrum_levels=None):
         raise FloatingPointError("overflow in the cell")
 
     monkeypatch.setattr(harness, "denoise", failing_denoise)

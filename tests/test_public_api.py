@@ -68,12 +68,17 @@ def test_spectrum_parameters_are_pinned():
 
 
 def test_denoise_parameters_are_pinned():
-    # perfbench/tracer.py binds denoise's argument `cfg` by name.
-    assert list(inspect.signature(pes_denoise.denoise).parameters) == [
-        "x",
-        "cfg",
-        "spectrum_levels",
-    ]
+    # perfbench/tracer.py binds denoise's argument `cfg` by name.  The
+    # harness hands over its depths by a private keyword-only parameter.
+    parameters = inspect.signature(pes_denoise.denoise).parameters
+    kinds = {name: parameter.kind for name, parameter in parameters.items()}
+    assert kinds == {
+        "x": inspect.Parameter.POSITIONAL_OR_KEYWORD,
+        "cfg": inspect.Parameter.POSITIONAL_OR_KEYWORD,
+        "_spectrum_levels": inspect.Parameter.KEYWORD_ONLY,
+    }
+    with pytest.raises(TypeError):
+        pes_denoise.denoise(np.zeros(64), DenoiseConfig(), 3)
 
 
 def test_every_public_name_resolves():
