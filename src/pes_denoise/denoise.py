@@ -133,6 +133,11 @@ def _epigraph_shrink(bands: np.ndarray, lengths: tuple[int, ...], n: int) -> np.
     return _project(bands, lengths, None, out=bands).w_p
 
 
+def _fresh_epigraph_shrink(bands: np.ndarray, lengths: tuple[int, ...], n: int) -> np.ndarray:
+    """_epigraph_shrink into a fresh array, for the bands a _Block shares."""
+    return _project(bands, lengths, None).w_p
+
+
 def _universal_shrink(bands: np.ndarray, lengths: tuple[int, ...], n: int) -> np.ndarray:
     """One universal threshold, sigma-hat * sqrt(2 ln n) (Donoho & Johnstone
     1994), across all bands; sigma-hat comes from the finest, in band units."""
@@ -158,7 +163,33 @@ _METHODS = {
 METHODS = tuple(_METHODS)
 
 
-def denoise(x: np.ndarray, cfg: DenoiseConfig, *, _spectrum_levels=None) -> np.ndarray:
+class _Block:
+    """The work that the methods of one harness block share.
+
+    depths is select_levels of the block's rows, which the harness takes
+    once, or None when every method has an explicit depth.  analysis(rows,
+    index, levels, bank) is _wavelet_analysis of rows[index] (of all the
+    rows where index is None), made once per bank name, depth and exact
+    row set and kept for the block's later DWT methods.  Kept bands are
+    shared, so no shrink rule writes into them.  The pyramid's bands are
+    views of the thread's workspace, which its next call overwrites, so
+    they are never kept.
+    """
+
+    def __init__(self, depths: np.ndarray | None) -> None:
+        self.depths = depths
+        self._analyses: dict = {}
+
+    def analysis(self, rows: np.ndarray, index: np.ndarray | None, levels: int, bank: FilterBank):
+        key = (bank.name, levels, None if index is None else index.tobytes())
+        kept = self._analyses.get(key)
+        if kept is None:
+            picked = rows if index is None else rows[index]
+            kept = self._analyses[key] = _wavelet_analysis(picked, levels, bank)
+        return kept
+
+
+def denoise(x: np.ndarray, cfg: DenoiseConfig, *, _block: _Block | None = None) -> np.ndarray:
     """Denoise x along its last axis with the method cfg names.
 
     x is one signal of shape (n,) or a batch of shape (T, n) that passes
@@ -172,6 +203,12 @@ def denoise(x: np.ndarray, cfg: DenoiseConfig, *, _spectrum_levels=None) -> np.n
     the method runs at no depth (an odd n, for a DWT) and a cfg.levels
     deeper than it runs at n: see clamp_depth, whose rule ExperimentSpec
     checks too.
+
+    The harness passes every method of a block of cells the same rows and
+    one private _Block record: its spectrum depths, selected once, and
+    the DWT analyses that the block's earlier methods made, reused where
+    bank, depth and rows match.  The output is the one denoise gives
+    without the record.
     """
     x = _samples(x)
     n = x.shape[-1]
@@ -182,21 +219,29 @@ def denoise(x: np.ndarray, cfg: DenoiseConfig, *, _spectrum_levels=None) -> np.n
     if cfg.levels is not None:
         depths = np.asarray(deepest).repeat(rows.shape[0])  # np.full, without its wrapper
     else:
-        # The harness passes its block's select_levels output, unchecked; ROADMAP item 3 removes it.
-        spectrum = select_levels(rows) if _spectrum_levels is None else _spectrum_levels
+        spectrum = select_levels(rows) if _block is None else _block.depths
         depths = np.minimum(spectrum, deepest)
+    shared = None if _block is None or analysis is _pyramid_analysis else _block.analysis
+    if shared is not None and shrink is _epigraph_shrink:
+        shrink = _fresh_epigraph_shrink  # never in place, on bands the block's other methods read
     # Rows of depth L run in blocks of BLOCK_ELEMENTS band values, so that no method's temporaries
     # grow with a call's rows (see _workspace): a DWT row's bands hold n, the pyramid's L*n.
     groups = sorted(set(depths.tolist()))
     blocks = [max(1, BLOCK_ELEMENTS // (n if analysis is _wavelet_analysis else L * n)) for L in groups]
     if len(groups) == 1 and rows.shape[0] <= blocks[0]:
         # One depth and one block: no copies in and out of the blocks.
-        bands, lengths, lowband = analysis(rows, groups[0], bank)
+        if shared is None:
+            bands, lengths, lowband = analysis(rows, groups[0], bank)
+        else:
+            bands, lengths, lowband = shared(rows, None, groups[0], bank)
         return synthesis(shrink(bands, lengths, n), lengths, lowband, bank).reshape(x.shape)
     out = np.empty_like(rows)
     for levels, block in zip(groups, blocks):
         picked = np.flatnonzero(depths == levels)
         for index in np.split(picked, range(block, picked.shape[0], block)):
-            bands, lengths, lowband = analysis(rows[index], levels, bank)
+            if shared is None:
+                bands, lengths, lowband = analysis(rows[index], levels, bank)
+            else:
+                bands, lengths, lowband = shared(rows, index, levels, bank)
             out[index] = synthesis(shrink(bands, lengths, n), lengths, lowband, bank)
     return out.reshape(x.shape)

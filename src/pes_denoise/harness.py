@@ -12,13 +12,16 @@ done once per block:
 - the unit noise is drawn once per experiment, and one broadcast
   expression scales it for every cell of the block (each row is bit for
   bit add_gaussian_noise(clean, NoiseSpec(fraction, base_seed + t)));
-- one select_levels call gives the rows' depths, which reach denoise by
-  its private keyword and which every method given no explicit depth
-  then clamps on its own; a spec whose methods all have explicit depths
-  makes no such call;
+- one select_levels call gives the rows' depths, which every method
+  given no explicit depth then clamps on its own; a spec whose methods
+  all have explicit depths makes no such call;
 - one denoise call per method, whose output becomes its cells' SNRs
   before the next method runs; one mean and one stddev reduction over
-  the block then summarise each method's cells.
+  the block then summarise each method's cells;
+- one DWT analysis per filter bank, depth and row chunk: every denoise
+  call of the block gets one private record (denoise._Block) that holds
+  the depths and the analyses made so far, so the DWT methods that share
+  a bank and a depth share its analysis.
 Each row is denoised as it would be on its own, so the report is the
 same for any blocking.  Rows and errors are per cell: a block that
 raises reports each of its cells.
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._workspace import BLOCK_ELEMENTS
-from .denoise import DenoiseConfig, _checked_depth, denoise
+from .denoise import DenoiseConfig, _Block, _checked_depth, denoise
 from .signals import NoiseSpec, _generator, _noise_sigma, _unit_noise, generate_test_signal, snr_db
 from .spectrum import MIN_SAMPLES, select_levels
 from .transforms import _check_integer, get_filter_bank
@@ -146,10 +149,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
             sigmas = np.array([_noise_sigma(signals[name], fraction) for name, fraction in block])
             noisy = (np.stack(cleans)[:, None] + sigmas[:, None, None] * unit).reshape(-1, n)
             input_snrs = _cell_snrs(cleans, noisy, trials)
-            depths = select_levels(noisy) if spectrum else None
+            record = _Block(select_levels(noisy) if spectrum else None)
             # Each output lives only until its SNRs are taken.
-            outputs = [_cell_snrs(cleans, denoise(noisy, cfg, _spectrum_levels=depths), trials)
-                       for cfg in spec.methods]
+            outputs = [_cell_snrs(cleans, denoise(noisy, cfg, _block=record), trials) for cfg in spec.methods]
         except Exception as exc:  # noqa: BLE001 - the block aborts, each cell's error is reported
             errors.extend(f"{name}/{fraction:g}: {type(exc).__name__}: {exc}" for name, fraction in block)
             continue

@@ -130,8 +130,9 @@ def feasible_levels(n: int, levels: int, taps: int) -> int:
     Memoised, so a warm call costs no Python-level call; typed keeps True off 1's entry."""
     _check_integer("n", n, 1)
     _check_integer("levels", levels, 1)
+    _check_integer("taps", taps, 1)
     n = int(n)
-    return min(int(levels), (n & -n).bit_length() - 1, (n // taps).bit_length())
+    return min(int(levels), (n & -n).bit_length() - 1, (n // int(taps)).bit_length())
 
 
 @functools.lru_cache(maxsize=64)
@@ -237,18 +238,20 @@ class PyramidSet:
 
 
 def default_cutoffs(levels: int) -> list[float]:
-    """Octave cutoffs pi/2, pi/4, ..., pi/2^levels."""
+    """Octave cutoffs pi/2, pi/4, ..., pi/2^levels, each exact: ldexp scales
+    by a power of 2 without forming it, so a deep one underflows to 0
+    instead of overflowing 2^levels."""
     _check_integer("levels", levels, 1)
-    return (np.pi / 2.0 ** np.arange(1, levels + 1)).tolist()
+    return np.ldexp(np.pi, -np.arange(1, levels + 1)).tolist()
 
 
 @functools.lru_cache(maxsize=64, typed=True)
 def pyramid_max_levels(n: int) -> int:
     """The pyramid rule, memoised like feasible_levels: the deepest octave
     pyramid at length n, the largest L with 2^(L+1) <= n, so that the last
-    cutoff pi/2^L spans a DFT bin."""
+    cutoff pi/2^L spans a DFT bin; 0 below n = 4, where there is none."""
     _check_integer("n", n, 1)
-    return int(n).bit_length() - 2
+    return max(0, int(n).bit_length() - 2)
 
 
 @functools.lru_cache(maxsize=64)

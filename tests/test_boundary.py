@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import deepest_allowed
 
 from pes_denoise.denoise import METHODS, DenoiseConfig, clamp_depth, denoise
 from pes_denoise.harness import ExperimentSpec, run_experiment
@@ -134,6 +135,7 @@ _INTEGERS = {
     "pyramid_max_levels.n": ("n", 1, pyramid_max_levels),
     "feasible_levels.n": ("n", 1, lambda v: feasible_levels(v, 6, 4)),
     "feasible_levels.levels": ("levels", 1, lambda v: feasible_levels(1024, v, 4)),
+    "feasible_levels.taps": ("taps", 1, lambda v: feasible_levels(1024, 6, v)),
     "clamp_depth.n": ("n", 1, lambda v: clamp_depth(6, DenoiseConfig("pes-pyramid"), v)),
 }
 
@@ -147,6 +149,18 @@ def test_every_integer_is_checked_by_one_rule(field):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(bad)
     call(np.int64(least))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_no_depth_is_negative_below_four_samples(n):
+    # Neither rule has a depth at these lengths but haar's DWT at n = 2, and
+    # none of them is below 0.
+    assert pyramid_max_levels(n) == 0
+    for method in METHODS:
+        for bank in ("haar", "db4"):
+            cfg = DenoiseConfig(method, bank)
+            want = deepest_allowed(method, get_filter_bank(bank).taps, n)
+            assert clamp_depth(6, cfg, n) == want == (method != "pes-pyramid" and bank == "haar" and n == 2)
 
 
 def _spec(**fields) -> ExperimentSpec:

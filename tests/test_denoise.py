@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from pes_denoise.denoise import METHODS, DenoiseConfig, clamp_depth, denoise, estimate_sigma
+from pes_denoise.denoise import METHODS, DenoiseConfig, _Block, clamp_depth, denoise, estimate_sigma
 from pes_denoise.harness import ExperimentSpec
 from pes_denoise.projections import soft_threshold
 from pes_denoise.signals import (
@@ -354,15 +354,25 @@ def test_batch_rows_equal_single_calls(method, rows, bank):
 @pytest.mark.parametrize("method", METHODS)
 def test_given_spectrum_levels_equal_selected_ones(method):
     # The harness selects each block's depths once and hands them to every
-    # method by the private keyword; the output must be the one denoise
-    # gives when it selects them.  The hand-off is select_levels of the rows.
+    # method in its private record; the output must be the one denoise
+    # gives when it selects them.  The record holds select_levels of the rows.
     x = _batch(_MIXED)
     cfg = DenoiseConfig(method=method)
-    assert np.array_equal(denoise(x, cfg, _spectrum_levels=select_levels(x)), denoise(x, cfg))
-    row = denoise(x[1], cfg, _spectrum_levels=select_levels(x[1:2]))
+    assert np.array_equal(denoise(x, cfg, _block=_Block(select_levels(x))), denoise(x, cfg))
+    row = denoise(x[1], cfg, _block=_Block(select_levels(x[1:2])))
     assert np.array_equal(row, denoise(x[1], cfg))
     # An explicit depth still wins over the given ones.
     explicit = DenoiseConfig(method=method, levels=2)
-    assert np.array_equal(denoise(x, explicit, _spectrum_levels=np.full(3, 6)), denoise(x, explicit))
+    assert np.array_equal(denoise(x, explicit, _block=_Block(np.full(3, 6))), denoise(x, explicit))
+
+
+def test_a_shared_record_gives_each_methods_own_output():
+    # Each DWT method given the record reuses the analyses that the methods
+    # before it made and shrinks none of them in place: on a second pass,
+    # where every analysis is reused, each output is still the one without it.
+    x = _batch(_MIXED)
+    record = _Block(select_levels(x))
+    for cfg in [DenoiseConfig(method, levels=levels) for levels in (None, 3) for method in METHODS] * 2:
+        assert np.array_equal(denoise(x, cfg, _block=record), denoise(x, cfg))
 
 

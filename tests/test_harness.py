@@ -1,5 +1,6 @@
 """Experiment runner: pairing, determinism, aggregation, CSV round-trips."""
 
+import importlib
 import math
 
 import numpy as np
@@ -10,10 +11,11 @@ from oracles import run_experiment_reference
 
 from pes_denoise import harness, select_levels
 from pes_denoise._workspace import BLOCK_ELEMENTS
-from pes_denoise.denoise import METHODS, DenoiseConfig, denoise
+from pes_denoise.denoise import METHODS, DenoiseConfig, clamp_depth, denoise
 from pes_denoise.harness import (
     CSV_HEADER,
     DEFAULT_FRACTIONS,
+    DEFAULT_METHODS,
     DEFAULT_SIGNALS,
     ExperimentReport,
     ExperimentSpec,
@@ -102,14 +104,14 @@ def test_rows_are_ordered_and_labeled():
 
 
 def _recording(monkeypatch):
-    """Record harness.denoise's (x, cfg, _spectrum_levels) and harness.select_levels's
+    """Record harness.denoise's (x, cfg, _block) and harness.select_levels's
     results, in call order, while both still run."""
     seen, plans = [], []
     denoise, select_levels = harness.denoise, harness.select_levels
 
-    def recording_denoise(x, cfg, *, _spectrum_levels=None):
-        seen.append((x, cfg, _spectrum_levels))
-        return denoise(x, cfg, _spectrum_levels=_spectrum_levels)
+    def recording_denoise(x, cfg, *, _block=None):
+        seen.append((x, cfg, _block))
+        return denoise(x, cfg, _block=_block)
 
     def recording_select_levels(x):
         plans.append(select_levels(x))
@@ -156,8 +158,8 @@ def test_cells_share_one_noise_draw_and_one_depth_plan(monkeypatch):
                     expected = add_gaussian_noise(clean, NoiseSpec(fraction, spec.base_seed + t))
                     assert np.array_equal(x[c * trials + t], expected)
             assert np.array_equal(plans[b], select_levels(x))
-            for y, _, levels in calls:
-                assert y is x and levels is plans[b]
+            for y, _, record in calls:
+                assert y is x and record is calls[0][2] and record.depths is plans[b]
 
 
 def test_depths_are_selected_once_per_block_and_only_when_a_method_needs_them(monkeypatch):
@@ -167,13 +169,13 @@ def test_depths_are_selected_once_per_block_and_only_when_a_method_needs_them(mo
     seen, plans = _recording(monkeypatch)
     report = run_experiment(ExperimentSpec(methods=explicit, **cells))
     assert not report.errors and len(report.rows) == 6 * 2
-    assert plans == [] and [levels for _, _, levels in seen] == [None] * 4
+    assert plans == [] and [record.depths for _, _, record in seen] == [None] * 4
     seen.clear()
     mixed = explicit + (DenoiseConfig(method="three-sigma"),)
     report = run_experiment(ExperimentSpec(methods=mixed, **cells))
     assert not report.errors and len(report.rows) == 6 * 3
     assert len(plans) == 2
-    assert [levels is plans[i // 3] for i, (_, _, levels) in enumerate(seen)] == [True] * 6
+    assert [record.depths is plans[i // 3] for i, (_, _, record) in enumerate(seen)] == [True] * 6
 
 
 _BANKS = ["db4", "haar", "farras"]
@@ -197,6 +199,11 @@ _ALL_METHODS = [
 
 
 # Blocks of one cell (70 x 1024 samples), of 6 cells of 10 x 1024, and of every cell.
+# The DWT methods of a block share each analysis of one bank, depth and row
+# set, so the cases also mix db4 and haar on methods that share one depth
+# plan, and put an explicit depth beside automatic ones that pick it too:
+# for bumps at 20%, 70 x 1024, universal's explicit chunk of rows 0-63 and
+# the automatic depth-5 chunk both start at row 0.
 @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(**_BLOCK_CASES)
 @example(signals=["doppler"], fractions=[0.1, 0.3], trials=70, n=1024, methods=_ALL_METHODS, base_seed=0)
@@ -205,6 +212,15 @@ _ALL_METHODS = [
     base_seed=3,
 )
 @example(signals=["cusp", "blocks"], fractions=[0.2, 0.3], trials=5, n=64, methods=_ALL_METHODS, base_seed=9)
+@example(
+    signals=["bumps"], fractions=[0.2], trials=70, n=1024, base_seed=0,
+    methods=[("universal", "db4", 5), ("pes-wavelet", "db4", None), ("three-sigma", "db4", None)],
+)
+@example(
+    signals=["blocks", "bumps", "piece-regular"], fractions=DEFAULT_FRACTIONS, trials=10, n=1024, base_seed=20,
+    methods=[("three-sigma", "haar", 4), ("pes-pyramid", "db4", None), ("universal", "db4", None),
+             ("pes-wavelet", "haar", None)],
+)
 def test_rows_equal_each_cell_run_alone(signals, fractions, trials, n, methods, base_seed):
     spec = ExperimentSpec(
         signals=tuple(signals), noise_fractions=tuple(fractions), trials=trials,
@@ -216,6 +232,42 @@ def test_rows_equal_each_cell_run_alone(signals, fractions, trials, n, methods, 
     assert report.rows == run_experiment_reference(spec)
 
 
+def test_a_block_analyses_each_bank_depth_and_row_chunk_once(monkeypatch):
+    # The benchmark's table, over its 8 seed blocks: 6 signals x 3 fractions
+    # of 10 trials at n = 1024 in 3 blocks of 6 cells, the default methods.
+    # Its three DWT methods share db4 and the block's spectrum plan, so a
+    # block makes one analysis per depth (each depth's rows fit one chunk),
+    # where one per method made 3 times as many.
+    module = importlib.import_module("pes_denoise.denoise")
+    dwt_analysis, analyses = module.dwt_analysis, []
+
+    def counting_dwt_analysis(x, bank, levels):
+        analyses.append((bank.name, levels, x.shape[0]))
+        return dwt_analysis(x, bank, levels)
+
+    monkeypatch.setattr(module, "dwt_analysis", counting_dwt_analysis)
+    _, plans = _recording(monkeypatch)
+    dwt = [cfg for cfg in DEFAULT_METHODS if cfg.method != "pes-pyramid"]
+    total = 0
+    for seed_block in range(8):
+        spec = ExperimentSpec(trials=10, base_seed=10 * seed_block)
+        plans.clear()
+        analyses.clear()
+        assert not run_experiment(spec).errors and len(plans) == 3
+        # One analysis per block, bank and depth, of that depth's rows.
+        expected = []
+        for plan in plans:
+            block = set()
+            for cfg in dwt:
+                depths = clamp_depth(plan, cfg, spec.n)
+                block |= {(cfg.bank, L, int(np.count_nonzero(depths == L))) for L in depths.tolist()}
+            expected.extend(block)
+        assert sorted(analyses) == sorted(expected)
+        total += len(analyses)
+    # 12.375 analyses per table, where one per method made 37.125.
+    assert total == 8 * 12.375
+
+
 def test_a_failing_block_reports_each_of_its_cells(monkeypatch):
     # 9 cells of 40 x 512 samples run in 3 blocks of 3; only the second one fails.
     spec = ExperimentSpec(
@@ -225,12 +277,12 @@ def test_a_failing_block_reports_each_of_its_cells(monkeypatch):
     clean_run = run_experiment(spec)
     blocks = []
 
-    def failing_on_the_second_block(x, cfg, *, _spectrum_levels=None):
+    def failing_on_the_second_block(x, cfg, *, _block=None):
         if not blocks or blocks[-1] is not x:
             blocks.append(x)
         if len(blocks) == 2:
             raise FloatingPointError("overflow in the block")
-        return denoise(x, cfg, _spectrum_levels=_spectrum_levels)
+        return denoise(x, cfg, _block=_block)
 
     monkeypatch.setattr(harness, "denoise", failing_on_the_second_block)
     report = run_experiment(spec)
@@ -340,7 +392,7 @@ def test_cell_errors_are_recorded_not_raised(monkeypatch):
         n=512,
     )
 
-    def failing_denoise(x, cfg, *, _spectrum_levels=None):
+    def failing_denoise(x, cfg, *, _block=None):
         raise FloatingPointError("overflow in the cell")
 
     monkeypatch.setattr(harness, "denoise", failing_denoise)

@@ -364,4 +364,10 @@ def test_pyramid_depth_must_span_a_dft_bin():
 
 def test_default_cutoffs_are_octaves():
     assert default_cutoffs(3) == [np.pi / 2, np.pi / 4, np.pi / 8]  # exact: powers of 2
-
+    # The same bits as pi / 2.0^k at every depth a signal can have, and no
+    # overflow of 2.0^k far past it: the suite turns a RuntimeWarning into a failure.
+    for levels in range(1, 14):
+        assert default_cutoffs(levels) == (np.pi / 2.0 ** np.arange(1, levels + 1)).tolist()
+    deep = default_cutoffs(2000)
+    assert len(deep) == 2000 and deep[:13] == default_cutoffs(13) and deep[-1] == 0.0
+    assert all(a > b or a == b == 0.0 for a, b in zip(deep, deep[1:]))
