@@ -10,10 +10,8 @@ aliases the workspace.
 
 denoise sizes every method's row blocks so that a request holds about
 BLOCK_ELEMENTS elements (or one row, where a row is longer): the workspace
-is bounded independently of a call's rows, and the default 300-trial table
-peaks at 57.5 MB ru_maxrss (53.5 MB before a harness block kept its DWT
-analyses for its methods), where it took 67 MB with only the pyramid blocked.
-The harness runs a table in blocks of whole cells of about as many samples.
+is bounded independently of a call's rows.  The harness runs a table in
+blocks of whole cells of about as many samples.
 """
 
 from __future__ import annotations

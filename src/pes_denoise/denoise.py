@@ -58,9 +58,10 @@ class DenoiseConfig:
 def estimate_sigma(finest_detail: np.ndarray) -> float | np.ndarray:
     """Robust noise scale: median(|finest detail band|) / 0.6745.
 
-    A float for a 1-D band; one value per row for a (T, K) band.
+    A float for a 1-D band; one value per row for a (T, K) band.  The band
+    must hold at least 8 coefficients, none NaN or infinite.
     """
-    band = _as_real(finest_detail)
+    band = _as_real(finest_detail, finite=True)
     if band.shape[-1] < 8:
         raise ValueError(f"need at least 8 coefficients, got {band.shape[-1]}")
     sigma = row_median(np.abs(band)) / 0.6745
@@ -98,9 +99,10 @@ def _checked_depth(cfg: DenoiseConfig, bank: FilterBank, n: int) -> int:
     return deepest
 
 
-def _wavelet_analysis(rows: np.ndarray, levels: int, bank: FilterBank):
-    """The rows' DWT: the detail bands side by side, finest first, their lengths, the lowband."""
-    bands = dwt_analysis(rows, bank, levels)
+def _wavelet_analysis(rows: np.ndarray, index: np.ndarray | None, levels: int, bank: FilterBank):
+    """The DWT of rows[index] (of all the rows where index is None): the
+    detail bands side by side, finest first, their lengths, the lowband."""
+    bands = dwt_analysis(rows if index is None else rows[index], bank, levels)
     lengths = tuple([band.shape[-1] for band in bands.details])
     return np.concatenate(bands.details, axis=-1), lengths, bands.lowband
 
@@ -111,10 +113,12 @@ def _wavelet_synthesis(details: np.ndarray, lengths: tuple, lowband: np.ndarray,
     return dwt_synthesis(SubbandSet(lowband, bands), bank)
 
 
-def _pyramid_analysis(rows: np.ndarray, levels: int, bank: FilterBank):
-    """pyramid_analysis of the (T, n) rows in the workspace band stack, each
-    stage's lowband overwritten by its highband: the (L*T, n) highbands,
-    their length n and the deepest lowband.  It reads no filter bank."""
+def _pyramid_analysis(rows: np.ndarray, index: np.ndarray | None, levels: int, bank: FilterBank):
+    """pyramid_analysis of the T rows[index] (all the rows where index is
+    None) in the workspace band stack, each stage's lowband overwritten by
+    its highband: the (L*T, n) highbands, their length n and the deepest
+    lowband.  It reads no filter bank."""
+    rows = rows if index is None else rows[index]
     n = rows.shape[-1]
     cascades = _cascade_spectra(tuple(default_cutoffs(levels)), DEFAULT_TAPS, n)
     bands = scratch("bands", (levels, *rows.shape))
@@ -129,13 +133,10 @@ def _pyramid_synthesis(highs: np.ndarray, lengths: tuple, deepest: np.ndarray, b
 
 
 def _epigraph_shrink(bands: np.ndarray, lengths: tuple[int, ...], n: int) -> np.ndarray:
-    """Each band's own threshold, from its epigraph projection, applied in place."""
-    return _project(bands, lengths, None, out=bands).w_p
-
-
-def _fresh_epigraph_shrink(bands: np.ndarray, lengths: tuple[int, ...], n: int) -> np.ndarray:
-    """_epigraph_shrink into a fresh array, for the bands a _Block shares."""
-    return _project(bands, lengths, None).w_p
+    """Each band's own threshold, from its epigraph projection, applied in
+    place where the bands are writable and into a fresh array where they
+    are a _Block's read-only ones."""
+    return _project(bands, lengths, None, out=bands if bands.flags.writeable else None).w_p
 
 
 def _universal_shrink(bands: np.ndarray, lengths: tuple[int, ...], n: int) -> np.ndarray:
@@ -150,10 +151,11 @@ def _three_sigma_shrink(bands: np.ndarray, lengths: tuple[int, ...], n: int) -> 
     return soft_threshold(bands, 3.0 * estimate_sigma(bands[:, : lengths[0]])[:, None])
 
 
-# Each method is (analysis, shrink rule, synthesis).  The analysis turns the
-# (T, n) rows, a depth and a filter bank into (T, N) bands, their lengths and
-# the lowband; the shrink rule maps the bands, lengths and n to shrunk bands,
-# maybe in place; the synthesis rebuilds the rows from those and the lowband.
+# Each method is (analysis, shrink rule, synthesis).  The analysis turns
+# rows[index] of the (T, n) rows (all of them where index is None), a depth
+# and a filter bank into bands, their lengths and the lowband; the shrink
+# rule maps the bands, lengths and n to shrunk bands, writing into the bands
+# only where they are writable; the synthesis rebuilds the rows from those.
 _METHODS = {
     "pes-wavelet": (_wavelet_analysis, _epigraph_shrink, _wavelet_synthesis),
     "pes-pyramid": (_pyramid_analysis, _epigraph_shrink, _pyramid_synthesis),
@@ -167,13 +169,14 @@ class _Block:
     """The work that the methods of one harness block share.
 
     depths is select_levels of the block's rows, which the harness takes
-    once, or None when every method has an explicit depth.  analysis(rows,
-    index, levels, bank) is _wavelet_analysis of rows[index] (of all the
-    rows where index is None), made once per bank name, depth and exact
-    row set and kept for the block's later DWT methods.  Kept bands are
-    shared, so no shrink rule writes into them.  The pyramid's bands are
-    views of the thread's workspace, which its next call overwrites, so
-    they are never kept.
+    once, or None when every method has an explicit depth.  analysis is
+    one more analysis, with _wavelet_analysis's parameters, that makes
+    each DWT analysis once per bank name, depth and exact row set and
+    keeps it for the block's later DWT methods.  Kept bands are shared,
+    so their detail stack and lowband are read-only, and a shrink rule
+    that wrote into them would raise.  The pyramid's bands are views of
+    the thread's workspace, which its next call overwrites, so they are
+    never kept.
     """
 
     def __init__(self, depths: np.ndarray | None) -> None:
@@ -184,8 +187,8 @@ class _Block:
         key = (bank.name, levels, None if index is None else index.tobytes())
         kept = self._analyses.get(key)
         if kept is None:
-            picked = rows if index is None else rows[index]
-            kept = self._analyses[key] = _wavelet_analysis(picked, levels, bank)
+            kept = self._analyses[key] = _wavelet_analysis(rows, index, levels, bank)
+            kept[0].flags.writeable = kept[2].flags.writeable = False
         return kept
 
 
@@ -221,27 +224,20 @@ def denoise(x: np.ndarray, cfg: DenoiseConfig, *, _block: _Block | None = None) 
     else:
         spectrum = select_levels(rows) if _block is None else _block.depths
         depths = np.minimum(spectrum, deepest)
-    shared = None if _block is None or analysis is _pyramid_analysis else _block.analysis
-    if shared is not None and shrink is _epigraph_shrink:
-        shrink = _fresh_epigraph_shrink  # never in place, on bands the block's other methods read
     # Rows of depth L run in blocks of BLOCK_ELEMENTS band values, so that no method's temporaries
     # grow with a call's rows (see _workspace): a DWT row's bands hold n, the pyramid's L*n.
     groups = sorted(set(depths.tolist()))
-    blocks = [max(1, BLOCK_ELEMENTS // (n if analysis is _wavelet_analysis else L * n)) for L in groups]
+    blocks = [max(1, BLOCK_ELEMENTS // (L * n if analysis is _pyramid_analysis else n)) for L in groups]
+    if _block is not None and analysis is _wavelet_analysis:
+        analysis = _block.analysis
     if len(groups) == 1 and rows.shape[0] <= blocks[0]:
         # One depth and one block: no copies in and out of the blocks.
-        if shared is None:
-            bands, lengths, lowband = analysis(rows, groups[0], bank)
-        else:
-            bands, lengths, lowband = shared(rows, None, groups[0], bank)
+        bands, lengths, lowband = analysis(rows, None, groups[0], bank)
         return synthesis(shrink(bands, lengths, n), lengths, lowband, bank).reshape(x.shape)
     out = np.empty_like(rows)
     for levels, block in zip(groups, blocks):
         picked = np.flatnonzero(depths == levels)
         for index in np.split(picked, range(block, picked.shape[0], block)):
-            if shared is None:
-                bands, lengths, lowband = analysis(rows[index], levels, bank)
-            else:
-                bands, lengths, lowband = shared(rows, index, levels, bank)
+            bands, lengths, lowband = analysis(rows, index, levels, bank)
             out[index] = synthesis(shrink(bands, lengths, n), lengths, lowband, bank)
     return out.reshape(x.shape)

@@ -20,8 +20,8 @@ done once per block:
   the block then summarise each method's cells;
 - one DWT analysis per filter bank, depth and row chunk: every denoise
   call of the block gets one private record (denoise._Block) that holds
-  the depths and the analyses made so far, so the DWT methods that share
-  a bank and a depth share its analysis.
+  the depths and keeps, read-only, the analyses made so far, so the DWT
+  methods that share a bank and a depth share its analysis.
 Each row is denoised as it would be on its own, so the report is the
 same for any blocking.  Rows and errors are per cell: a block that
 raises reports each of its cells.

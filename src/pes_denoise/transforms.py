@@ -42,13 +42,21 @@ class FilterBank:
         return int(self.analysis_lo.shape[0])
 
 
-def _as_real(x) -> np.ndarray:
+def _as_real(x, finite: bool = False) -> np.ndarray:
     """x as a float array; ValueError for complex x, whose imaginary part a
     float cast would drop.  The test is np.iscomplexobj's, without its
-    Python wrapper."""
+    Python wrapper.  With finite, x must also hold samples along a last
+    axis, none NaN or infinite, as the public decompositions and
+    estimate_sigma require (each checks its own length); the checks are
+    C-level calls, so the per-call path makes no Python-level call more."""
     x = np.asarray(x)
     if x.dtype.kind == "c":
         raise ValueError("input must be real, got complex samples")
+    if finite:
+        if x.ndim == 0:
+            raise ValueError(f"expected samples along a last axis, got shape {x.shape}")
+        if not np.logical_and.reduce(np.isfinite(x), axis=None):
+            raise ValueError("input contains NaN or infinite samples")
     return x.astype(float, copy=False)
 
 
@@ -170,7 +178,7 @@ def _idwt_step(a: np.ndarray, d: np.ndarray, lo: np.ndarray, hi: np.ndarray):
 
 
 def dwt_analysis(x: np.ndarray, bank: FilterBank, levels: int) -> SubbandSet:
-    x = _as_real(x)
+    x = _as_real(x, finite=True)
     n = x.shape[-1]
     taps = bank.taps
     _check_integer("levels", levels, 1)
@@ -309,7 +317,7 @@ def _join_pyramid(deepest: np.ndarray, highs) -> np.ndarray:
 def pyramid_analysis(x: np.ndarray, cutoffs: list[float], taps: int = DEFAULT_TAPS) -> PyramidSet:
     """Lowbands of every stage from one rfft and one batched irfft, and
     highbands by subtraction from the previous stage's lowband."""
-    x = _as_real(x)
+    x = _as_real(x, finite=True)
     n = x.shape[-1]
     cascades = _cascade_spectra(tuple(cutoffs), taps, n)
     lows = np.empty((len(cascades), *x.shape))

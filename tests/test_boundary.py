@@ -8,7 +8,9 @@ integer rule (transforms._check_integer) refuses a count or seed that is
 not an int or numpy integer (a bool is not one) or is below its least
 value, with one message; the depth helpers (default_cutoffs,
 pyramid_max_levels, feasible_levels) run it too.  ExperimentSpec refuses a
-repeated signal, noise fraction or method.
+repeated signal, noise fraction or method.  The public decompositions and
+estimate_sigma refuse NaN, infinite and 0-d input and keep their own
+length rules.
 """
 
 import math
@@ -20,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import deepest_allowed
 
-from pes_denoise.denoise import METHODS, DenoiseConfig, clamp_depth, denoise
+from pes_denoise.denoise import METHODS, DenoiseConfig, clamp_depth, denoise, estimate_sigma
 from pes_denoise.harness import ExperimentSpec, run_experiment
 from pes_denoise.signals import NoiseSpec, add_gaussian_noise, generate_test_signal
 from pes_denoise.spectrum import magnitude_spectrum, select_levels
@@ -29,6 +31,7 @@ from pes_denoise.transforms import (
     dwt_analysis,
     feasible_levels,
     get_filter_bank,
+    pyramid_analysis,
     pyramid_max_levels,
 )
 
@@ -116,6 +119,32 @@ def test_one_sample_rule_for_denoise_select_levels_and_magnitude_spectrum(shape,
             assert got == f"{method} needs an even signal length, got n={shape[-1]}"
         else:
             assert got == refusal
+
+
+# The public readers of samples that denoise calls after its own sample rule.
+_READERS = {
+    "dwt_analysis": lambda x: dwt_analysis(x, get_filter_bank("haar"), 2),
+    "pyramid_analysis": lambda x: pyramid_analysis(x, default_cutoffs(2)),
+    "estimate_sigma": estimate_sigma,
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_READERS))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_decompositions_and_estimate_sigma_refuse_non_finite_and_0d_input(reader, bad):
+    # Each refuses a NaN or infinite sample with the sample rule's message;
+    # estimate_sigma's partition used to drop a NaN among ones unseen.
+    call = _READERS[reader]
+    for shape in [(64,), (3, 64)]:
+        x = np.ones(shape)
+        x.flat[5] = bad
+        with pytest.raises(ValueError, match="^input contains NaN or infinite samples$"):
+            call(x)
+    with pytest.raises(ValueError, match=re.escape("expected samples along a last axis, got shape ()")):
+        call(np.array(bad))
+    call(np.ones(64))
+    # Their length rules are their own: a 4-sample haar DWT still runs.
+    assert dwt_analysis(np.ones(4), get_filter_bank("haar"), 1).details[0].shape == (2,)
 
 
 def _dwt(levels):

@@ -11,7 +11,15 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from pes_denoise.denoise import METHODS, DenoiseConfig, _Block, clamp_depth, denoise, estimate_sigma
+from pes_denoise.denoise import (
+    METHODS,
+    DenoiseConfig,
+    _Block,
+    _epigraph_shrink,
+    clamp_depth,
+    denoise,
+    estimate_sigma,
+)
 from pes_denoise.harness import ExperimentSpec
 from pes_denoise.projections import soft_threshold
 from pes_denoise.signals import (
@@ -374,5 +382,27 @@ def test_a_shared_record_gives_each_methods_own_output():
     record = _Block(select_levels(x))
     for cfg in [DenoiseConfig(method, levels=levels) for levels in (None, 3) for method in METHODS] * 2:
         assert np.array_equal(denoise(x, cfg, _block=record), denoise(x, cfg))
+
+
+def test_a_records_kept_bands_are_read_only():
+    # The bands a _Block keeps are read by each of the block's DWT methods,
+    # so the record hands them out read-only: a shrink rule that wrote into
+    # them would raise, not change a later method's output.
+    x, bank = _batch(_MIXED), get_filter_bank("db4")
+    record = _Block(None)
+    bands, lengths, lowband = record.analysis(x, None, 3, bank)
+    assert not bands.flags.writeable and not lowband.flags.writeable
+    assert record.analysis(x, None, 3, bank)[0] is bands  # kept, not made again
+    with pytest.raises(ValueError, match="read-only"):
+        bands[0, 0] = 0.0
+    # The epigraph rule shrinks read-only bands into a fresh array, leaves
+    # them bit for bit as they were, and gives what it gives in place.
+    before = bands.copy()
+    shrunk = _epigraph_shrink(bands, lengths, x.shape[-1])
+    assert not np.shares_memory(shrunk, bands)
+    assert np.array_equal(bands.view(np.uint64), before.view(np.uint64))
+    writable = before.copy()
+    assert _epigraph_shrink(writable, lengths, x.shape[-1]) is writable
+    assert np.array_equal(writable.view(np.uint64), shrunk.view(np.uint64))
 
 

@@ -1,5 +1,6 @@
 """Experiment runner: pairing, determinism, aggregation, CSV round-trips."""
 
+import hashlib
 import importlib
 import math
 
@@ -364,6 +365,15 @@ heavy-sine,0.3000,three-sigma,8.4301,17.4295,1.2539,3
 
 def test_report_matches_golden_csv():
     assert emit_csv(run_experiment(GOLDEN_SPEC)) == GOLDEN_CSV
+
+
+def test_the_default_report_keeps_its_sha256():
+    # The default 300-trial table, as `python -m pes_denoise experiment`
+    # writes it, unchanged since 2b91fae: any change to its printed digits
+    # is a change to what the program computes.
+    report = emit_csv(run_experiment(ExperimentSpec()))
+    digest = "a07c706ed02dcbd69e2b89c0882363871d82320a5955c02f524028284cd4fec5"
+    assert hashlib.sha256(report.encode()).hexdigest() == digest
 
 
 def test_summarize_excludes_infinite_sentinels():
